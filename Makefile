@@ -85,6 +85,12 @@ verify: build
 	done
 	@echo "== sampler racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 dune exec test/test_sampler.exe || exit 1
+	@# Plan-cache confinement cell: table descent keeps one plan cache
+	@# per pool lane, and the race sanitizer checks each cache's owner
+	@# token while the compiled-executor suite descends at 1, 2 and 4
+	@# domains.
+	@echo "== plan racecheck=1 =="
+	DIFFTUNE_RACECHECK=1 dune exec test/test_plan.exe || exit 1
 	@# dt_race cells: the armed race.unlocked_write / race.lock_cycle
 	@# sites must be caught by the dynamic checker under both tape
 	@# executors (the test binary also proves they are MISSED with

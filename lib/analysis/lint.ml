@@ -242,7 +242,9 @@ let call_locks =
     ( "Simcache",
       [ "find"; "add"; "find_or_add"; "hits"; "misses"; "length" ],
       "simcache.m", 40 );
-    ("Pool", [ "run"; "shutdown"; "suppressed_errors" ], "pool.m", 30);
+    ( "Pool",
+      [ "run"; "run_lanes"; "shutdown"; "suppressed_errors" ],
+      "pool.m", 30 );
     ( "Faultsim",
       [ "fire"; "fire_exn"; "arm"; "configure"; "clear"; "hits" ],
       "faultsim.m", 55 );

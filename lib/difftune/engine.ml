@@ -922,8 +922,14 @@ let validation_error (spec : Spec.t) table valid =
     valid;
   !acc /. float_of_int (Array.length valid)
 
-(* Per-shard state for the parameter-descent phase: its own relaxed
-   table (leaves + store) and its own frozen-surrogate replica. *)
+(* Per-lane state for the parameter-descent phase: a relaxed table
+   (leaves + store) for the lane's traces to read, a frozen-surrogate
+   replica, and the context and plan cache those traces run in.  Tasks
+   on one pool lane never overlap, so a lane's cache sees every block
+   the lane visits, whichever shard the block falls in: while it fits
+   in the cache, each block is recorded twice, sealed once and
+   replayed on every later visit.  Plan caches, like contexts, are
+   single-caller. *)
 type theta_replica = {
   tstore : Nn.Store.t;
   pnode : Ad.node;
@@ -931,7 +937,6 @@ type theta_replica = {
   smodel : Model.t;
   tctx : Ad.ctx;
   tplans : Ad.plan_cache;
-      (* per-replica: plan caches, like contexts, are single-caller *)
 }
 
 let table_fp config (spec : Spec.t) ~n ~init ~n_valid =
@@ -971,18 +976,6 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
     (store, theta_per, theta_global, pnode, gnode)
   in
   let theta_store, theta_per, theta_global, _, _ = make_theta () in
-  let replicas =
-    Array.init n_shards (fun _ ->
-        let tstore, _, _, pnode, gnode = make_theta () in
-        {
-          tstore;
-          pnode;
-          gnode;
-          smodel = replicate model;
-          tctx = Ad.new_ctx ();
-          tplans = Ad.plan_cache ~capacity:64 ();
-        })
-  in
   let opt = Nn.Optimizer.adam theta_store ~lr:config.table_lr in
   let per_scale = T.vector (Array.copy spec.per_scale) in
   let global_scale =
@@ -1104,8 +1097,18 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
               %d/%d)"
              detail b0 target.ts_cursor !base_lr !backoffs max_backoffs)
       in
-      let shard_task r lo hi =
+      (* A shard sums its steps' theta gradients from zero on its lane's
+         replica and leaves the sum in its own slot, so the reduction
+         below runs in shard-index order whichever lane ran the shard:
+         every float is the same at any pool size. *)
+      let slots =
+        Array.init n_shards (fun _ ->
+            let slot, _, _, _, _ = make_theta () in
+            slot)
+      in
+      let shard_task r slot lo hi =
         let ctx = r.tctx in
+        Nn.Store.zero_grads r.tstore;
         for step = lo to hi - 1 do
           let block, y = eligible.(sched.(step)) in
           (* A block recurs across passes and epochs, and its trace is
@@ -1157,26 +1160,39 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
           in
           Ad.backward ctx loss;
           losses.(step) <- Ad.scalar_value loss
-        done
+        done;
+        Nn.Store.copy_grads ~src:r.tstore ~dst:slot
       in
       with_pool (fun pool ->
+          let lanes =
+            Array.init (Pool.size pool) (fun _ ->
+                let tstore, _, _, pnode, gnode = make_theta () in
+                {
+                  tstore;
+                  pnode;
+                  gnode;
+                  smodel = replicate model;
+                  tctx = Ad.new_ctx ();
+                  tplans = Ad.plan_cache ~capacity:64 ();
+                })
+          in
           while !cursor < steps do
             let b0 = !cursor in
             let bsize = min config.table_batch (steps - b0) in
             Array.iter
               (fun r -> Nn.Store.copy_values ~src:theta_store ~dst:r.tstore)
-              replicas;
-            Pool.run pool n_shards (fun k ->
+              lanes;
+            Pool.run_lanes pool n_shards (fun ~lane k ->
                 let lo, hi = shard_range ~lo:b0 ~size:bsize k in
-                shard_task replicas.(k) lo hi);
+                shard_task lanes.(lane) slots.(k) lo hi);
             Array.iter
-              (fun r ->
-                Nn.Store.accum_grads ~src:r.tstore ~dst:theta_store;
-                Nn.Store.zero_grads r.tstore;
-                (* The surrogate is frozen: its accumulated gradients are
-                   simply discarded. *)
-                Nn.Store.zero_grads (Model.store r.smodel))
-              replicas;
+              (fun slot -> Nn.Store.accum_grads ~src:slot ~dst:theta_store)
+              slots;
+            (* The surrogate is frozen: its accumulated gradients are
+               simply discarded. *)
+            Array.iter
+              (fun r -> Nn.Store.zero_grads (Model.store r.smodel))
+              lanes;
             if Faultsim.fire "grad.nan" then poison_grads theta_store;
             match batch_problem losses ~b0 ~bsize ~running theta_store with
             | Some detail -> rollback ~b0 detail

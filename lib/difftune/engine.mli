@@ -139,7 +139,16 @@ val train_surrogate :
     periodically and the snapshot with the lowest {e true-simulator}
     error on the validation blocks is returned (capped at 256 blocks;
     the validation split is the one the paper reserves for development
-    decisions). *)
+    decisions).
+
+    Each minibatch is split into the same fixed shards as
+    {!train_surrogate}.  Every pool lane keeps one surrogate replica,
+    autodiff context and 64-plan cache, and runs whichever shards it
+    takes; a shard's theta gradients go to that shard's own slot, and
+    the slots are summed in shard order.  The table is therefore
+    bit-identical whatever [DIFFTUNE_DOMAINS] says, and a block that
+    recurs on a lane is recorded twice, sealed once and replayed from
+    then on. *)
 val optimize_table :
   ?init:Spec.table ->
   ?valid:(Dt_x86.Block.t * float) array ->

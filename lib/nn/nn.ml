@@ -52,6 +52,9 @@ module Store = struct
   let accum_grads ~src ~dst =
     iter2 src dst (fun a b -> T.axpy ~alpha:1.0 ~x:a.grad ~y:b.grad)
 
+  let copy_grads ~src ~dst =
+    iter2 src dst (fun a b -> T.blit ~src:a.grad ~dst:b.grad)
+
   let export_values t =
     List.map
       (fun e -> (e.name, e.value.T.rows, e.value.T.cols, T.to_array e.value))

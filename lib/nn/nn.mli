@@ -44,6 +44,10 @@ module Store : sig
       {!copy_values}. *)
   val accum_grads : src:t -> dst:t -> unit
 
+  (** [copy_grads ~src ~dst] overwrites [dst]'s gradients with [src]'s,
+      bit for bit; same pairing rules as {!copy_values}. *)
+  val copy_grads : src:t -> dst:t -> unit
+
   (** Parameter values as [(name, rows, cols, row-major data)] in store
       order — the checkpoint serialization of a model.  Round-tripping
       through {!import_values} is bit-exact. *)

@@ -1,6 +1,6 @@
 type job = {
   n : int;
-  f : int -> unit;
+  f : lane:int -> int -> unit;
   next : int Atomic.t;
   err : (exn * Printexc.raw_backtrace) option Atomic.t;
   suppressed : int Atomic.t; (* worker exceptions after the first *)
@@ -27,16 +27,17 @@ let default_domains () =
       | _ -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-(* Pull tasks off the shared counter until exhausted.  The first
-   exception is kept with its backtrace; later tasks still run (so [run]
-   always joins) and their failures are only counted. *)
-let exec job =
+(* Pull tasks off the shared counter until exhausted, running each on
+   [lane].  The first exception is kept with its backtrace; later tasks
+   still run (so [run_lanes] always joins) and their failures are only
+   counted. *)
+let exec ~lane job =
   let rec loop () =
     let i = Atomic.fetch_and_add job.next 1 in
     if i < job.n then begin
       (try
          Faultsim.fire_exn "pool.worker";
-         job.f i
+         job.f ~lane i
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          if not (Atomic.compare_and_set job.err None (Some (e, bt))) then
@@ -50,7 +51,7 @@ let exec job =
    cannot span the condition loop), so this is one of the two modules
    whitelisted for the lock-no-protect lint rule; the wait loop itself
    is exception-free. *)
-let worker t () =
+let worker t lane () =
   let seen = ref 0 in
   let rec loop () =
     Sync.lock t.m;
@@ -62,7 +63,7 @@ let worker t () =
       seen := t.generation;
       let job = match t.job with Some j -> j | None -> assert false in
       Sync.unlock t.m;
-      exec job;
+      exec ~lane job;
       Sync.lock t.m;
       t.active <- t.active - 1;
       if t.active = 0 then Sync.broadcast t.work_done;
@@ -89,12 +90,13 @@ let create ?domains () =
       size;
     }
   in
-  t.workers <- Array.init (size - 1) (fun _ -> Domain.spawn (worker t));
+  (* Lane 0 is the caller; worker [w] is lane [w + 1]. *)
+  t.workers <- Array.init (size - 1) (fun w -> Domain.spawn (worker t (w + 1)));
   t
 
 let size t = t.size
 
-let run t n f =
+let run_lanes t n f =
   if n <= 0 then ()
   else begin
     let job =
@@ -107,7 +109,7 @@ let run t n f =
       }
     in
     if Array.length t.workers = 0 then begin
-      exec job;
+      exec ~lane:0 job;
       Sync.with_lock t.m (fun () ->
           t.suppressed <- t.suppressed + Atomic.get job.suppressed)
     end
@@ -118,7 +120,7 @@ let run t n f =
       t.active <- Array.length t.workers;
       Sync.broadcast t.work_ready;
       Sync.unlock t.m;
-      exec job;
+      exec ~lane:0 job;
       Sync.lock t.m;
       while t.active > 0 do
         Sync.wait t.work_done t.m
@@ -134,6 +136,8 @@ let run t n f =
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
   end
+
+let run t n f = run_lanes t n (fun ~lane:_ i -> f i)
 
 let suppressed_errors t = Sync.with_lock t.m (fun () -> t.suppressed)
 

@@ -29,8 +29,20 @@ val size : t -> int
     ([Printexc.raise_with_backtrace]) after the job completes; later
     failures are only counted (see {!suppressed_errors}).  The
     [pool.worker] {!Faultsim} site fires once per task, before [f].
-    Not reentrant: [f] must not call {!run} on the same pool. *)
+    Not reentrant: [f] must not call {!run} on the same pool.  This is
+    {!run_lanes} with the lane ignored. *)
 val run : t -> int -> (int -> unit) -> unit
+
+(** [run_lanes t n f] is {!run} that also tells each task where it runs:
+    [f ~lane i] executes on lane [lane] in [\[0, size t)].  Lane 0 is the
+    calling domain and lanes [1 .. size t - 1] are the workers.  Tasks on
+    one lane run one after another and never overlap, so a caller can
+    keep one mutable workspace per lane (a model replica, an autodiff
+    context, a plan cache) and index it by [lane] without locking.
+    Which lane runs which task is unspecified: results must not depend
+    on it.  Error handling and the [pool.worker] site are those of
+    {!run}. *)
+val run_lanes : t -> int -> (lane:int -> int -> unit) -> unit
 
 (** Cumulative count of worker exceptions beyond the first of each
     failing job — failures whose details were dropped in favour of the

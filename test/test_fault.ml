@@ -115,6 +115,118 @@ let test_pool_shutdown_idempotent () =
   Pool.shutdown pool;
   Pool.shutdown pool
 
+(* ---- Pool lanes ---- *)
+
+let with_pool3 f =
+  let pool = Pool.create ~domains:3 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* Spin (bounded) until [cond ()] holds; a lane that never shows up
+   fails the test instead of hanging it. *)
+let await what cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out: %s" what;
+    Unix.sleepf 0.0005
+  done
+
+let test_pool_lanes () =
+  with_pool3 (fun pool ->
+      let size = Pool.size pool in
+      Alcotest.(check int) "size" 3 size;
+      (* One task per lane, each held until every lane has started one:
+         no lane can finish early and take a second task, so every lane
+         must report itself exactly once. *)
+      let started = Array.init size (fun _ -> Atomic.make 0) in
+      let bad_lane = Atomic.make 0 in
+      Pool.run_lanes pool size (fun ~lane _ ->
+          if lane < 0 || lane >= size then Atomic.incr bad_lane
+          else begin
+            Atomic.incr started.(lane);
+            await "every lane started" (fun () ->
+                Array.for_all (fun c -> Atomic.get c > 0) started)
+          end);
+      Alcotest.(check int) "lanes in [0, size)" 0 (Atomic.get bad_lane);
+      Array.iteri
+        (fun lane c ->
+          Alcotest.(check int) (Printf.sprintf "lane %d ran once" lane) 1
+            (Atomic.get c))
+        started;
+      (* Many short tasks: a per-lane busy flag must never be found set. *)
+      let busy = Array.init size (fun _ -> Atomic.make false) in
+      let overlaps = Atomic.make 0 in
+      let ran = Atomic.make 0 in
+      Pool.run_lanes pool 96 (fun ~lane _ ->
+          if not (Atomic.compare_and_set busy.(lane) false true) then
+            Atomic.incr overlaps
+          else begin
+            Unix.sleepf 0.0002;
+            Atomic.set busy.(lane) false
+          end;
+          Atomic.incr ran);
+      Alcotest.(check int) "no two tasks on one lane at once" 0
+        (Atomic.get overlaps);
+      Alcotest.(check int) "every task ran" 96 (Atomic.get ran))
+
+let contains ~affix s =
+  let n = String.length s and m = String.length affix in
+  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
+  m = 0 || go 0
+
+let test_pool_lanes_errors () =
+  let prev = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace prev) @@ fun () ->
+  with_pool3 (fun pool ->
+      (* Four failing tasks: the first to fail is re-raised with the
+         backtrace of its raise point on whichever lane ran it; the
+         other three are counted.  Backtrace recording is per domain,
+         so every task switches it on for its own lane. *)
+      let ran = Atomic.make 0 in
+      (match
+         Pool.run_lanes pool 12 (fun ~lane:_ i ->
+             Printexc.record_backtrace true;
+             Atomic.incr ran;
+             if i mod 3 = 0 then failwith (Printf.sprintf "task %d" i))
+       with
+      | () -> Alcotest.fail "expected Failure"
+      | exception Failure msg ->
+          let bt =
+            Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "a failing task's error (%s)" msg)
+            true
+            (List.mem msg [ "task 0"; "task 3"; "task 6"; "task 9" ]);
+          Alcotest.(check bool)
+            (Printf.sprintf "task backtrace kept:\n%s" bt)
+            true
+            (contains ~affix:"Raised at Stdlib.failwith" bt));
+      Alcotest.(check int) "later errors suppressed and counted" 3
+        (Pool.suppressed_errors pool);
+      Alcotest.(check int) "every task still ran" 12 (Atomic.get ran);
+      (* The armed pool.worker site skips one task and surfaces as the
+         job's error; the others run on their lanes. *)
+      with_faults (fun () ->
+          Faultsim.arm "pool.worker" ~at:3;
+          let executed = Atomic.make 0 in
+          match
+            Pool.run_lanes pool 6 (fun ~lane _ ->
+                if lane >= 0 && lane < Pool.size pool then
+                  Atomic.incr executed)
+          with
+          | () -> Alcotest.fail "expected Injected"
+          | exception Faultsim.Injected site ->
+              Alcotest.(check string) "site" "pool.worker" site;
+              Alcotest.(check int) "other tasks completed" 5
+                (Atomic.get executed));
+      Alcotest.(check int) "a single failure suppresses nothing" 3
+        (Pool.suppressed_errors pool);
+      let total = Atomic.make 0 in
+      Pool.run_lanes pool 4 (fun ~lane:_ i ->
+          ignore (Atomic.fetch_and_add total i));
+      Alcotest.(check int) "usable after errors" 6 (Atomic.get total))
+
 (* ---- Table_io hardening ---- *)
 
 let spec = Spec.mca_full Uarch.Haswell
@@ -442,6 +554,8 @@ let () =
             test_pool_worker_injection;
           Alcotest.test_case "shutdown idempotent" `Quick
             test_pool_shutdown_idempotent;
+          Alcotest.test_case "lanes" `Quick test_pool_lanes;
+          Alcotest.test_case "lanes errors" `Quick test_pool_lanes_errors;
         ] );
       ( "table_io",
         [

@@ -420,7 +420,12 @@ let test_train_domains_compiled () =
   check_weights "weights 1=4" w1 w4
 
 (* Parameter-table descent (theta gradients through compiled plans per
-   block) must also match the interpreter bit for bit. *)
+   block) must match the interpreter bit for bit at any pool size.  The
+   learning rate is high enough for every step to move entries across
+   rounding boundaries, so a changed gradient shows in the extracted
+   table.  Each pool lane keeps one plan cache, so a one-domain descent
+   records every eligible block twice, seals it once and replays each
+   later visit. *)
 let test_table_compiled_equals_interp () =
   let module Spec = Dt_difftune.Spec in
   let module Engine = Dt_difftune.Engine in
@@ -434,26 +439,65 @@ let test_table_compiled_equals_interp () =
       sim_multiplier = 2;
       surrogate_passes = 0.25;
       table_passes = 4.0;
+      table_lr = 1.0;
     }
   in
-  let run compile =
-    with_compile compile (fun () ->
-        let data = Engine.collect cfg spec blocks in
-        let model = Engine.make_model cfg spec (Rng.create 5) in
-        ignore (Engine.train_surrogate cfg spec model data blocks);
-        Engine.optimize_table cfg spec model ~train)
+  let run ?(cfg = cfg) ~compile domains =
+    with_domains domains (fun () ->
+        with_compile compile (fun () ->
+            let data = Engine.collect cfg spec blocks in
+            let model = Engine.make_model cfg spec (Rng.create 5) in
+            ignore (Engine.train_surrogate cfg spec model data blocks);
+            Ad.reset_plan_stats ();
+            let table = Engine.optimize_table cfg spec model ~train in
+            (table, Ad.plan_stats ())))
   in
-  let ti = run false in
-  let tc = run true in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j v -> check_bits (Printf.sprintf "per %d.%d" i j) v tc.per.(i).(j))
-        row)
-    ti.Spec.per;
-  Array.iteri
-    (fun j v -> check_bits (Printf.sprintf "global %d" j) v tc.global.(j))
-    ti.Spec.global
+  let check_table label (ti : Spec.table) (tc : Spec.table) =
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j v ->
+            check_bits (Printf.sprintf "%s: per %d.%d" label i j) v
+              tc.per.(i).(j))
+          row)
+      ti.per;
+    Array.iteri
+      (fun j v ->
+        check_bits (Printf.sprintf "%s: global %d" label j) v tc.global.(j))
+      ti.global
+  in
+  let oracle, _ = run ~compile:false 1 in
+  let start, _ = run ~cfg:{ cfg with table_passes = 0.0 } ~compile:false 1 in
+  Alcotest.(check bool) "descent moved the table" true (oracle <> start);
+  let compiled, st = run ~compile:true 1 in
+  check_table "compiled domains=1" oracle compiled;
+  List.iter
+    (fun (compile, domains) ->
+      let table, _ = run ~compile domains in
+      check_table
+        (Printf.sprintf "%s domains=%d"
+           (if compile then "compiled" else "interp")
+           domains)
+        oracle table)
+    [ (false, 2); (true, 2); (false, 4); (true, 4) ];
+  let eligible =
+    List.filter
+      (fun (b, _) -> Dt_x86.Block.length b <= cfg.max_train_block_len)
+      (Array.to_list train)
+  in
+  let distinct =
+    List.length
+      (List.sort_uniq String.compare
+         (List.map (fun (b, _) -> Dt_x86.Block.to_string b) eligible))
+  in
+  let steps =
+    int_of_float (cfg.table_passes *. float_of_int (List.length eligible))
+  in
+  Alcotest.(check int) "one plan per distinct eligible block" distinct
+    st.Ad.plans_compiled;
+  Alcotest.(check int) "every visit after the two record passes hits"
+    (steps - (2 * distinct)) st.plan_hits;
+  Alcotest.(check int) "no evictions" 0 st.plan_evictions
 
 let () =
   Alcotest.run "plan"
