@@ -444,8 +444,9 @@ let scope_lock_name path helper args =
 
 let blocking_unix_calls =
   [
-    "sleep"; "sleepf"; "select"; "read"; "write"; "accept"; "connect";
-    "recv"; "send"; "wait"; "waitpid"; "system";
+    "sleep"; "sleepf"; "select"; "read"; "write"; "write_substring";
+    "single_write"; "single_write_substring"; "accept"; "connect"; "recv";
+    "send"; "wait"; "waitpid"; "system";
   ]
 
 (* Stable textual form of a simple access path ([x], [t.current]);

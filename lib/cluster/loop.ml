@@ -1,78 +1,35 @@
 module Server = Dt_serve.Server
+module Conn = Dt_serve.Conn
 
-(* ---- connection plumbing (same discipline as Dt_serve.Server) ---- *)
-
-type client = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable alive : bool;
-}
-
-let client_write c line =
-  if c.alive then begin
-    let payload = Bytes.of_string (line ^ "\n") in
-    let len = Bytes.length payload in
-    let off = ref 0 in
-    try
-      while !off < len do
-        off := !off + Unix.write c.fd payload !off (len - !off)
-      done
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      c.alive <- false
-  end
-
-let take_lines buf =
-  let data = Buffer.contents buf in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear buf;
-      Buffer.add_substring buf data (last + 1) (String.length data - last - 1);
-      String.split_on_char '\n' (String.sub data 0 last)
-
-(* One outbound shard connection, re-established on a retry cadence. *)
-type conn = {
-  c_name : string;
+(* One outbound shard link, re-dialled on a retry cadence. *)
+type link = {
+  name : string;
   path : string;
-  rbuf : Buffer.t;
-  mutable sfd : Unix.file_descr option;
+  mutable conn : Conn.t option;
   mutable next_attempt : float;
 }
 
-let conn_close conn ~delay ~now =
-  (match conn.sfd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  conn.sfd <- None;
-  Buffer.clear conn.rbuf;
-  conn.next_attempt <- now +. delay
-
-let conn_send conn ~delay line =
-  match conn.sfd with
-  | None -> false
-  | Some fd -> (
-      let payload = Bytes.of_string (line ^ "\n") in
-      let len = Bytes.length payload in
-      let off = ref 0 in
-      try
-        while !off < len do
-          off := !off + Unix.write fd payload !off (len - !off)
-        done;
-        true
-      with Unix.Unix_error _ ->
-        conn_close conn ~delay ~now:(Unix.gettimeofday ());
-        false)
-
-let try_connect router conn ~delay ~now =
+let try_connect router link ~delay ~now =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX conn.path) with
+  match Unix.connect fd (Unix.ADDR_UNIX link.path) with
   | () ->
-      conn.sfd <- Some fd;
-      Buffer.clear conn.rbuf;
-      Router.set_link router conn.c_name (Some (conn_send conn ~delay))
+      let c = Conn.create fd in
+      link.conn <- Some c;
+      Router.set_link router link.name (Some (Conn.send c))
   | exception Unix.Unix_error (_, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      conn.next_attempt <- now +. delay
+      link.next_attempt <- now +. delay
+
+(* A link found dead is closed, detached from the router (which fails
+   over what was in flight on it) and re-dialled after [delay]. *)
+let reap_link router link ~delay ~now =
+  match link.conn with
+  | Some c when not (Conn.alive c) ->
+      Conn.close c;
+      link.conn <- None;
+      link.next_attempt <- now +. delay;
+      Router.set_link router link.name None
+  | Some _ | None -> ()
 
 let run router ~listen ~shards ?(reconnect_delay = 0.2) ?on_tick () =
   Server.with_drain_signals @@ fun () ->
@@ -83,24 +40,16 @@ let run router ~listen ~shards ?(reconnect_delay = 0.2) ?on_tick () =
   if Sys.file_exists listen then Sys.remove listen;
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let clients = ref [] in
-  let conns =
+  let links =
     List.map
-      (fun (name, path) ->
-        { c_name = name; path; rbuf = Buffer.create 1024; sfd = None;
-          next_attempt = 0.0 })
+      (fun (name, path) -> { name; path; conn = None; next_attempt = 0.0 })
       shards
   in
+  let link_conns () = List.filter_map (fun l -> l.conn) links in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-        !clients;
-      List.iter
-        (fun conn ->
-          match conn.sfd with
-          | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ())
-        conns;
+      List.iter Conn.close !clients;
+      List.iter Conn.close (link_conns ());
       (try Unix.close srv with Unix.Unix_error _ -> ());
       (try Sys.remove listen with Sys_error _ -> ());
       match prev_sigpipe with
@@ -109,87 +58,63 @@ let run router ~listen ~shards ?(reconnect_delay = 0.2) ?on_tick () =
     (fun () ->
       Unix.bind srv (Unix.ADDR_UNIX listen);
       Unix.listen srv 64;
-      let read_client c =
-        let chunk = Bytes.create 8192 in
-        match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-        | 0 -> c.alive <- false
-        | n ->
-            Buffer.add_subbytes c.buf chunk 0 n;
-            List.iter
-              (fun line ->
-                if String.trim line <> "" then
-                  Router.submit router ~line ~respond:(client_write c))
-              (take_lines c.buf)
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            c.alive <- false
-      in
-      let read_conn conn fd ~now =
-        let chunk = Bytes.create 8192 in
-        let drop () =
-          conn_close conn ~delay:reconnect_delay ~now;
-          Router.set_link router conn.c_name None
-        in
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> drop ()
-        | n ->
-            Buffer.add_subbytes conn.rbuf chunk 0 n;
-            List.iter
-              (fun line ->
-                if String.trim line <> "" then
-                  Router.on_shard_line router ~shard:conn.c_name ~line)
-              (take_lines conn.rbuf)
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            drop ()
-      in
       while not (Router.stopped router) do
         let now = Unix.gettimeofday () in
         if Server.drain_pending () then Router.request_drain router;
-        (* (re)dial disconnected shards on their retry cadence *)
         List.iter
-          (fun conn ->
-            if conn.sfd = None && conn.next_attempt <= now then
-              try_connect router conn ~delay:reconnect_delay ~now)
-          conns;
-        let shard_fds =
-          List.filter_map (fun conn -> conn.sfd) conns
-        in
-        let fds = (srv :: List.map (fun c -> c.fd) !clients) @ shard_fds in
-        let ready =
-          match Unix.select fds [] [] 0.02 with
-          | r, _, _ -> r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+          (fun l ->
+            if Option.is_none l.conn && l.next_attempt <= now then
+              try_connect router l ~delay:reconnect_delay ~now)
+          links;
+        let shard_conns = link_conns () in
+        let readable, writable =
+          match
+            Unix.select
+              (* shard links are always read: the in-flight window
+                 bounds what they can owe *)
+              ((srv :: Conn.fds_where Conn.alive shard_conns)
+              @ Conn.fds_where Conn.reading !clients)
+              (Conn.fds_where Conn.has_output (shard_conns @ !clients))
+              [] 0.02
+          with
+          | r, w, _ -> (r, w)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
         in
         List.iter
-          (fun fd ->
-            if fd == srv then begin
-              match Unix.accept srv with
-              | conn, _ ->
-                  clients :=
-                    { fd = conn; buf = Buffer.create 512; alive = true }
-                    :: !clients
-              | exception Unix.Unix_error _ -> ()
-            end
-            else
-              match List.find_opt (fun c -> c.fd == fd) !clients with
-              | Some c -> read_client c
-              | None -> (
-                  match
-                    List.find_opt
-                      (fun conn ->
-                        match conn.sfd with
-                        | Some sfd -> sfd == fd
-                        | None -> false)
-                      conns
-                  with
-                  | Some conn -> read_conn conn fd ~now
-                  | None -> ()))
-          ready;
-        Router.tick router;
-        (match on_tick with Some f -> f now | None -> ());
+          (fun c -> if List.mem (Conn.fd c) writable then Conn.flush c)
+          (shard_conns @ !clients);
+        List.iter
+          (fun l ->
+            match l.conn with
+            | Some c when List.mem (Conn.fd c) readable ->
+                List.iter
+                  (fun line ->
+                    if String.trim line <> "" then
+                      Router.on_shard_line router ~shard:l.name ~line)
+                  (Conn.read c)
+            | Some _ | None -> ())
+          links;
+        (* detach dead links before routing new work to them *)
+        List.iter (reap_link router ~delay:reconnect_delay ~now) links;
         List.iter
           (fun c ->
-            if not c.alive then
-              try Unix.close c.fd with Unix.Unix_error _ -> ())
+            if List.mem (Conn.fd c) readable then
+              List.iter
+                (fun line ->
+                  if String.trim line <> "" then
+                    Router.submit router ~line ~respond:(fun l ->
+                        ignore (Conn.send c l)))
+                (Conn.read c))
           !clients;
-        clients := List.filter (fun c -> c.alive) !clients
-      done)
+        if List.mem srv readable then begin
+          match Unix.accept srv with
+          | fd, _ -> clients := Conn.create fd :: !clients
+          | exception Unix.Unix_error _ -> ()
+        end;
+        Router.tick router;
+        (match on_tick with Some f -> f now | None -> ());
+        let live, dead = List.partition Conn.alive !clients in
+        List.iter Conn.close dead;
+        clients := live
+      done;
+      Conn.flush_all !clients)

@@ -293,20 +293,42 @@ and try_candidates t d = function
             else begin
               (* write failed: the link is dead; drop it so the prober
                  must bring the shard back *)
-              s.link <- None;
               Breaker.failure s.s_breaker;
               health_failure t s;
+              lose_link t s;
               d.tried <- (name, "send_failed") :: d.tried;
               try_candidates t d rest
             end
           end)
 
-let fail_over t d rid s reason =
+and fail_over t d rid s reason =
   Hashtbl.remove t.pending rid;
   s.inflight <- Int.max 0 (s.inflight - 1);
   t.failovers <- t.failovers + 1;
   d.tried <- (s.name, reason) :: d.tried;
   route_data t d
+
+(* The link to [s] is gone, whether the transport detached it or a send
+   found it dead: a dropped link strands everything in flight on this
+   shard, so fail it over now rather than letting each request wait out
+   its full reply budget (a crashed shard would otherwise put the whole
+   window at p99 = reply_budget). *)
+and lose_link t s =
+  s.link <- None;
+  (match s.probe_pending with
+  | Some (prid, _) ->
+      Hashtbl.remove t.pending prid;
+      s.probe_pending <- None
+  | None -> ());
+  let stranded =
+    Hashtbl.fold
+      (fun rid p acc ->
+        match p with
+        | Data d when String.equal d.assigned s.name -> (rid, d) :: acc
+        | _ -> acc)
+      t.pending []
+  in
+  List.iter (fun (rid, d) -> fail_over t d rid s "link_lost") stranded
 
 (* ---- stats (cluster report) ---- *)
 
@@ -414,7 +436,7 @@ let start_collect t ~id ~respond =
             if send (rid ^ " stats") then
               Hashtbl.replace t.pending rid (Collect c)
             else begin
-              s.link <- None;
+              lose_link t s;
               c.c_waiting <- c.c_waiting - 1
             end)
       linked;
@@ -440,7 +462,7 @@ let probe_shard t s =
         t.probes_sent <- t.probes_sent + 1
       end
       else begin
-        s.link <- None;
+        lose_link t s;
         t.probe_failures <- t.probe_failures + 1;
         health_failure t s
       end
@@ -620,30 +642,14 @@ let stopped t = t.is_stopped
 
 let set_link t name link =
   let s = get_shard t name in
-  let had = s.link <> None in
-  s.link <- link;
-  if had && link = None then begin
-    Breaker.failure s.s_breaker;
-    health_failure t s;
-    (* a dropped link strands everything in flight on this shard: fail
-       it over now rather than letting each request wait out its full
-       reply budget (a crashed shard would otherwise put the whole
-       window at p99 = reply_budget) *)
-    (match s.probe_pending with
-    | Some (prid, _) ->
-        Hashtbl.remove t.pending prid;
-        s.probe_pending <- None
-    | None -> ());
-    let stranded =
-      Hashtbl.fold
-        (fun rid p acc ->
-          match p with
-          | Data d when String.equal d.assigned name -> (rid, d) :: acc
-          | _ -> acc)
-        t.pending []
-    in
-    List.iter (fun (rid, d) -> fail_over t d rid s "link_lost") stranded
-  end
+  match link with
+  | Some _ -> s.link <- link
+  | None ->
+      if Option.is_some s.link then begin
+        Breaker.failure s.s_breaker;
+        health_failure t s;
+        lose_link t s
+      end
 
 let shard_names t = List.map fst t.shards
 let ring_members t = Ring.members t.ring

@@ -54,13 +54,14 @@ val create :
   config -> uarch:Dt_refcpu.Uarch.uarch -> shards:string list -> t
 
 (** [set_link t name send] — attach ([Some send]) or detach ([None])
-    the transport for shard [name].  [send line] must deliver one
-    protocol line and report success; [false] (or detaching) makes the
-    shard unavailable to the ladder.  Detaching counts one health and
-    breaker failure (a lost connection {e is} a failure) and
-    immediately fails over every request in flight on that shard —
-    nothing waits out its reply budget against a dead link.  Unknown
-    names raise [Invalid_argument]. *)
+    the transport for shard [name].  [send line] must deliver (or queue
+    for delivery) one protocol line and report success; [false] (or
+    detaching) makes the shard unavailable to the ladder.  Detaching
+    counts one health and breaker failure (a lost connection {e is} a
+    failure).  Both a detach and a [false] from [send] immediately fail
+    over every request in flight on that shard — nothing waits out its
+    reply budget against a dead link.  Unknown names raise
+    [Invalid_argument]. *)
 val set_link : t -> string -> (string -> bool) option -> unit
 
 (** [submit t ~line ~respond] — admit one client line.  [respond]

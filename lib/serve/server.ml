@@ -108,37 +108,9 @@ let serve_channels rt ic oc =
 
 (* ---- Unix-domain socket ---- *)
 
-type client = {
-  fd : Unix.file_descr;
-  buf : Buffer.t; (* bytes received, not yet terminated by '\n' *)
-  mutable alive : bool;
-}
-
-let write_line client line =
-  if client.alive then begin
-    let payload = Bytes.of_string (line ^ "\n") in
-    let len = Bytes.length payload in
-    let off = ref 0 in
-    try
-      while !off < len do
-        off := !off + Unix.write client.fd payload !off (len - !off)
-      done
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      (* Client went away; its remaining responses are discarded, which
-         is the only delivery semantics a dead peer can have. *)
-      client.alive <- false
-  end
-
-(* Split complete lines out of a client's receive buffer. *)
-let take_lines client =
-  let data = Buffer.contents client.buf in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear client.buf;
-      Buffer.add_substring client.buf data (last + 1)
-        (String.length data - last - 1);
-      String.split_on_char '\n' (String.sub data 0 last)
+(* The select timeout with nothing queued: how long a drain signal that
+   lands just before the select can go unseen. *)
+let idle_tick = 0.02
 
 let serve_socket rt ~path =
   with_drain_signals @@ fun () ->
@@ -151,12 +123,11 @@ let serve_socket rt ~path =
   let clients = ref [] in
   let stop = ref false in
   let partitioned = ref false in
-  let batch = (Runtime.config rt).Runtime.batch in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-        !clients;
+      (* closed connections drop the replies a later [Runtime.shutdown]
+         drains into them *)
+      List.iter Conn.close !clients;
       (try Unix.close srv with Unix.Unix_error _ -> ());
       (try Sys.remove path with Sys_error _ -> ());
       match prev_sigpipe with
@@ -169,53 +140,47 @@ let serve_socket rt ~path =
         if String.trim line <> "" then begin
           fire_cluster_faults ~partitioned ();
           if not !partitioned then
-            match Runtime.submit rt ~line ~respond:(write_line client) with
+            match
+              Runtime.submit rt ~line ~respond:(fun l ->
+                  ignore (Conn.send client l))
+            with
             | `Shutdown -> stop := true
             | `Ok -> ()
         end
       in
-      let read_client client =
-        let chunk = Bytes.create 4096 in
-        match Unix.read client.fd chunk 0 (Bytes.length chunk) with
-        | 0 -> client.alive <- false
-        | n ->
-            Buffer.add_subbytes client.buf chunk 0 n;
-            List.iter (handle_line client) (take_lines client)
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            client.alive <- false
-      in
       while (not !stop) && not (Atomic.get drain_requested) do
-        let fds = srv :: List.map (fun c -> c.fd) !clients in
-        let ready =
-          match Unix.select fds [] [] 0.02 with
-          | ready, _, _ -> ready
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+        (* Work-conserving: with requests queued, poll without waiting
+           and evaluate one batch per round.  Requests that arrive while
+           a batch runs join the next one, so batches still fill under
+           load. *)
+        let timeout = if Runtime.pending rt > 0 then 0.0 else idle_tick in
+        let readable, writable =
+          match
+            Unix.select
+              (srv :: Conn.fds_where Conn.reading !clients)
+              (Conn.fds_where Conn.has_output !clients)
+              [] timeout
+          with
+          | r, w, _ -> (r, w)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
         in
         List.iter
-          (fun fd ->
-            if fd == srv then begin
-              let conn, _ = Unix.accept srv in
-              clients :=
-                { fd = conn; buf = Buffer.create 256; alive = true }
-                :: !clients
-            end
-            else
-              match List.find_opt (fun c -> c.fd == fd) !clients with
-              | Some c -> read_client c
-              | None -> ())
-          ready;
-        (* Evaluate when a batch is ready, or opportunistically when the
-           socket went idle with work queued. *)
-        if
-          Runtime.pending rt >= batch
-          || (ready = [] && Runtime.pending rt > 0)
-        then Runtime.drain rt;
+          (fun c -> if List.mem (Conn.fd c) writable then Conn.flush c)
+          !clients;
         List.iter
           (fun c ->
-            if not c.alive then
-              try Unix.close c.fd with Unix.Unix_error _ -> ())
+            if List.mem (Conn.fd c) readable then
+              List.iter (handle_line c) (Conn.read c))
           !clients;
-        clients := List.filter (fun c -> c.alive) !clients
+        if List.mem srv readable then begin
+          match Unix.accept srv with
+          | fd, _ -> clients := Conn.create fd :: !clients
+          | exception Unix.Unix_error _ -> ()
+        end;
+        if Runtime.pending rt > 0 then Runtime.drain rt;
+        let live, dead = List.partition Conn.alive !clients in
+        List.iter Conn.close dead;
+        clients := live
       done;
       if Atomic.get drain_requested then begin
         (* Graceful drain: stop accepting (the listener is closed by the
@@ -224,4 +189,5 @@ let serve_socket rt ~path =
            leave a one-line trace.  The loop then exits 0 normally. *)
         final_stats_line rt ~drained:(Runtime.drain_all rt)
       end
-      else ignore (Runtime.drain_all rt))
+      else ignore (Runtime.drain_all rt);
+      Conn.flush_all !clients)

@@ -13,3 +13,5 @@ let good_wait t =
       done)
 
 let good_sleep () = Unix.sleepf 0.25
+
+let bad_send t fd s = Sync.with_lock t.m (fun () -> Unix.single_write_substring fd s 0 1)

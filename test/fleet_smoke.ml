@@ -202,7 +202,7 @@ let fleet_scenario name ~spec ~extra_env drive =
     end
   in
   warmup 0;
-  drive fd ic;
+  drive ~router:(Filename.concat dir "router.sock") fd ic;
   Unix.close fd;
   let fleet_out = Unix.in_channel_of_descr out_r in
   let report = read_all_lines fleet_out in
@@ -262,7 +262,8 @@ let shutdown fd ic name =
 let scenario_clean () =
   let name = "clean" in
   let report =
-    fleet_scenario name ~spec:(spec_json ()) ~extra_env:[] (fun fd ic ->
+    fleet_scenario name ~spec:(spec_json ()) ~extra_env:[]
+      (fun ~router:_ fd ic ->
         let lines = storm fd ic name 30 in
         (* with all shards up, nothing degrades *)
         List.iter
@@ -299,7 +300,7 @@ let scenario_crash () =
     fleet_scenario name
       ~spec:(spec_json ~faults:[ (0, "cluster.shard_crash@10") ] ())
       ~extra_env:[]
-      (fun fd ic ->
+      (fun ~router:_ fd ic ->
         ignore (storm fd ic name 80);
         (* let the supervisor notice the corpse and restart it *)
         Unix.sleepf 1.0;
@@ -322,7 +323,7 @@ let scenario_partition () =
         (spec_json ~faults:[ (1, "cluster.net_partition@4") ]
            ~reply_budget:0.15 ~eject_after:2 ())
       ~extra_env:[]
-      (fun fd ic ->
+      (fun ~router:_ fd ic ->
         ignore (storm fd ic name 40);
         (* a merged stats report still answers (partial: the partitioned
            shard never replies, the collect deadline fills in) *)
@@ -350,7 +351,7 @@ let scenario_slow () =
         (spec_json ~faults:[ (2, "cluster.slow_shard@6") ] ~reply_budget:0.15
            ())
       ~extra_env:[ "DIFFTUNE_SLOW_SHARD_S=0.6" ]
-      (fun fd ic ->
+      (fun ~router:_ fd ic ->
         ignore (storm fd ic name 40);
         (* give the stalled reply time to arrive (and be discarded) *)
         Unix.sleepf 1.0;
@@ -362,6 +363,21 @@ let scenario_slow () =
       failf "%s: expected router.late_discarded>=1, got %s" name
         (match r with Some n -> string_of_int n | None -> "missing")
 
+(* ---- scenario E: a client that never reads stalls only itself; the
+   router keeps answering everyone else ---- *)
+
+let scenario_slow_reader () =
+  let name = "slow-reader" in
+  ignore
+    (fleet_scenario name ~spec:(spec_json ()) ~extra_env:[]
+       (fun ~router fd ic ->
+         let a = connect_with_retry router in
+         let b = connect_with_retry router in
+         Slow_reader.run ~fail:(failf "%s: %s" name) ~a ~b ();
+         Unix.close a;
+         Unix.close b;
+         shutdown fd ic name))
+
 let () =
   (* hard watchdog: a wedged fleet must fail the smoke, not hang CI *)
   ignore (Unix.alarm 300);
@@ -369,8 +385,9 @@ let () =
   scenario_crash ();
   scenario_partition ();
   scenario_slow ();
+  scenario_slow_reader ();
   if !failures > 0 then begin
     Printf.printf "fleet_smoke: %d failure(s)\n%!" !failures;
     exit 1
   end;
-  print_endline "fleet_smoke: OK (4 scenarios, zero drops)"
+  print_endline "fleet_smoke: OK (5 scenarios, zero drops)"

@@ -278,8 +278,23 @@ let connect_with_retry path =
   in
   go ()
 
-let scenario_socket () =
-  let name = "socket" in
+let send fd line =
+  ignore (Unix.write_substring fd (line ^ "\n") 0 (String.length line + 1))
+
+let recv_lines name ic n =
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      match input_line ic with
+      | line -> go (line :: acc) (k - 1)
+      | exception End_of_file ->
+          failf "%s: eof after %d of %d lines" name (n - k) n;
+          List.rev acc
+  in
+  go [] n
+
+(* Spawn `serve --socket` with [args]; returns the pid and socket path. *)
+let socket_daemon name args =
   Printf.printf "serve_smoke: scenario %s\n%!" name;
   let path =
     Filename.concat
@@ -289,28 +304,28 @@ let scenario_socket () =
   if Sys.file_exists path then Sys.remove path;
   let pid =
     Unix.create_process_env cli
-      [| cli; "serve"; "--socket"; path; "--batch"; "2" |]
+      (Array.of_list ([ cli; "serve"; "--socket"; path ] @ args))
       (env ~faults:"" ~domains:1)
       Unix.stdin Unix.stdout Unix.stderr
   in
+  (pid, path)
+
+(* Shut the daemon down over [fd]/[ic] and reap it. *)
+let socket_shutdown name pid path fd ic =
+  send fd "z shutdown";
+  expect name (recv_lines name ic 1) "z" ~affix:"ok shutdown";
+  wait_clean name pid;
+  if Sys.file_exists path then failf "%s: socket file left behind" name
+
+let scenario_socket () =
+  let name = "socket" in
+  let pid, path = socket_daemon name [ "--batch"; "2" ] in
   let c1 = connect_with_retry path in
   let c2 = connect_with_retry path in
-  let send fd line = ignore (Unix.write_substring fd (line ^ "\n") 0 (String.length line + 1)) in
   (* one buffered channel per connection, reused across reads, so no
      bytes are stranded in an abandoned buffer *)
   let ic1 = Unix.in_channel_of_descr c1 and ic2 = Unix.in_channel_of_descr c2 in
-  let recv_lines ic n =
-    let rec go acc k =
-      if k = 0 then List.rev acc
-      else
-        match input_line ic with
-        | line -> go (line :: acc) (k - 1)
-        | exception End_of_file ->
-            failf "%s: eof after %d of %d lines" name (n - k) n;
-            List.rev acc
-    in
-    go [] n
-  in
+  let recv_lines = recv_lines name in
   send c1 ("a1 predict " ^ asm);
   send c2 ("b1 predict " ^ asm);
   send c1 ("a2 predict " ^ asm);
@@ -322,13 +337,51 @@ let scenario_socket () =
   check_ids (name ^ "/c2") [ "b1"; "b2" ] lb;
   expect name la "a1" ~affix:"ok cycles=";
   expect name lb "b2" ~affix:"pong";
-  send c1 "z shutdown";
-  let lz = recv_lines ic1 1 in
-  expect name lz "z" ~affix:"ok shutdown";
+  socket_shutdown name pid path c1 ic1;
   Unix.close c1;
-  Unix.close c2;
-  wait_clean name pid;
-  if Sys.file_exists path then failf "%s: socket file left behind" name
+  Unix.close c2
+
+(* ---- scenario G: sequential round trips are not held for a batch ----
+
+   A shard evaluates as soon as work is admitted, so one client waiting
+   on each answer before it sends the next sees simulation time, not a
+   select tick per request. *)
+
+let scenario_serial () =
+  let name = "serial-roundtrip" in
+  let pid, path = socket_daemon name [ "--batch"; "16" ] in
+  let fd = connect_with_retry path in
+  let ic = Unix.in_channel_of_descr fd in
+  let roundtrip id =
+    send fd (id ^ " predict " ^ asm);
+    recv_lines name ic 1
+  in
+  (* untimed: the block's first simulation *)
+  ignore (roundtrip "w");
+  let ids = List.init 20 (Printf.sprintf "s%d") in
+  let t0 = Unix.gettimeofday () in
+  let lines = List.concat_map roundtrip ids in
+  let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+  Printf.printf "serve_smoke: %s: 20 sequential predicts in %.1f ms\n%!" name
+    ms;
+  check_ids name ids lines;
+  List.iter (fun id -> expect name lines id ~affix:"ok cycles=") ids;
+  if ms >= 200.0 then
+    failf "%s: 20 sequential predicts took %.0f ms (limit 200 ms)" name ms;
+  socket_shutdown name pid path fd ic;
+  Unix.close fd
+
+(* ---- scenario H: a client that never reads stalls only itself ---- *)
+
+let scenario_slow_reader () =
+  let name = "slow-reader" in
+  let pid, path = socket_daemon name [] in
+  let a = connect_with_retry path in
+  let b = connect_with_retry path in
+  Slow_reader.run ~fail:(failf "%s: %s" name) ~a ~b ();
+  socket_shutdown name pid path b (Unix.in_channel_of_descr b);
+  Unix.close a;
+  Unix.close b
 
 (* ---- lifecycle scenarios ----
 
@@ -458,6 +511,8 @@ let () =
   scenario_overload ();
   scenario_mixed ();
   scenario_socket ();
+  scenario_serial ();
+  scenario_slow_reader ();
   scenario_lifecycle_swap ();
   scenario_lifecycle_retrain_crash ();
   scenario_lifecycle_corrupt_model ();
@@ -465,4 +520,4 @@ let () =
     Printf.printf "serve_smoke: %d failure(s)\n%!" !failures;
     exit 1
   end;
-  print_endline "serve_smoke: OK (9 scenarios, zero drops)"
+  print_endline "serve_smoke: OK (11 scenarios, zero drops)"

@@ -325,9 +325,10 @@ let test_router_overload_failover () =
   | [ resp ] -> check_contains "served" ~affix:"r1 ok cycles=1.5" resp
   | _ -> Alcotest.failf "expected 1 response, got %d" (List.length !got)
 
-let test_router_link_lost_failover () =
-  (* a dropped link re-dispatches the whole in-flight window at once —
-     no request waits out its reply budget against a dead shard *)
+(* A lost link re-dispatches the whole in-flight window at once — no
+   request waits out its reply budget against a dead shard — whether
+   the transport detaches it or a send finds it dead. *)
+let link_lost_failover ~by_send () =
   let names = [ "a"; "b"; "c" ] in
   let rt, _advance, fakes = mk_router names in
   let primary, replica =
@@ -336,24 +337,31 @@ let test_router_link_lost_failover () =
     | _ -> Alcotest.fail "need 2 owners"
   in
   let got = ref [] in
-  List.iter
-    (fun id ->
-      Router.submit rt ~line:(Printf.sprintf "%s predict %s" id asm)
-        ~respond:(fun l -> got := l :: !got))
-    [ "k1"; "k2"; "k3" ];
+  let submit id =
+    Router.submit rt ~line:(Printf.sprintf "%s predict %s" id asm)
+      ~respond:(fun l -> got := l :: !got)
+  in
+  List.iter submit [ "k1"; "k2"; "k3" ];
   check Alcotest.int "window on primary" 3
     (List.length (data_lines (fake primary fakes)));
-  (* the primary's connection drops: without any clock advance, all
-     three requests land on the replica *)
-  Router.set_link rt primary None;
+  (* without any clock advance, all three requests land on the replica *)
+  if by_send then begin
+    (* the primary's socket died; the next send to it finds out, and
+       k4 follows the window *)
+    (fake primary fakes).up <- false;
+    submit "k4"
+  end
+  else Router.set_link rt primary None;
+  let expected = if by_send then 4 else 3 in
   let redispatched = data_lines (fake replica fakes) in
-  check Alcotest.int "redispatched immediately" 3 (List.length redispatched);
+  check Alcotest.int "redispatched immediately" expected
+    (List.length redispatched);
   List.iter
     (fun l ->
       Router.on_shard_line rt ~shard:replica
         ~line:(line_id l ^ " ok cycles=1.0 backend=mca"))
     redispatched;
-  check Alcotest.int "all answered" 3 (List.length !got);
+  check Alcotest.int "all answered" expected (List.length !got);
   check Alcotest.(option string) "three failovers" (Some "3")
     (List.assoc_opt "router.failovers" (Router.stats_pairs rt))
 
@@ -523,7 +531,9 @@ let () =
           Alcotest.test_case "overload fails over" `Quick
             test_router_overload_failover;
           Alcotest.test_case "link lost fails over immediately" `Quick
-            test_router_link_lost_failover;
+            (link_lost_failover ~by_send:false);
+          Alcotest.test_case "failed send fails over immediately" `Quick
+            (link_lost_failover ~by_send:true);
           Alcotest.test_case "shed + drain" `Quick test_router_shed_and_drain;
           Alcotest.test_case "probe hysteresis" `Quick
             test_router_probe_hysteresis;

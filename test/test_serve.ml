@@ -641,6 +641,114 @@ let test_fuzz_agrees_with_block () =
             Alcotest.failf "block_result accepted what block rejected: %S" s)
   done
 
+(* ---- Conn: the non-blocking line connection ---- *)
+
+module Conn = Dt_serve.Conn
+
+let with_pair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe prev;
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ a; b ])
+    (fun () -> f a b)
+
+(* Everything readable on non-blocking [fd] right now. *)
+let read_available fd =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  go ();
+  Buffer.contents buf
+
+let test_conn_eagain_in_order () =
+  with_pair @@ fun a b ->
+  let c = Conn.create a in
+  Unix.set_nonblock b;
+  (* send until the socket is full and then past the read-stop bound *)
+  let sent = ref 0 in
+  while Conn.reading c do
+    check Alcotest.bool "queued, not dropped" true
+      (Conn.send c (Printf.sprintf "line %d" !sent));
+    incr sent
+  done;
+  check Alcotest.bool "output queued under EAGAIN" true (Conn.has_output c);
+  let got = Buffer.create (16 * !sent) in
+  let rounds = ref 0 in
+  while (Conn.has_output c || Buffer.length got = 0) && !rounds < 10_000 do
+    Buffer.add_string got (read_available b);
+    Conn.flush c;
+    incr rounds
+  done;
+  Buffer.add_string got (read_available b);
+  check Alcotest.bool "queue drained" false (Conn.has_output c);
+  check Alcotest.bool "reading again" true (Conn.reading c);
+  let lines = String.split_on_char '\n' (Buffer.contents got) in
+  check Alcotest.int "every line once, then the final newline" (!sent + 1)
+    (List.length lines);
+  List.iteri
+    (fun i l ->
+      if i < !sent then
+        check Alcotest.string "in order" (Printf.sprintf "line %d" i) l)
+    lines
+
+let test_conn_split_line () =
+  with_pair @@ fun a b ->
+  let c = Conn.create b in
+  let put s = ignore (Unix.write_substring a s 0 (String.length s)) in
+  check Alcotest.(list string) "no newline yet" [] (Conn.read c);
+  put "1 pi";
+  check Alcotest.(list string) "partial line held" [] (Conn.read c);
+  put "ng\n2 st";
+  check Alcotest.(list string) "reassembled" [ "1 ping" ] (Conn.read c);
+  put "ats\n3 ping\n";
+  check Alcotest.(list string) "two lines" [ "2 stats"; "3 ping" ]
+    (Conn.read c);
+  Unix.close a;
+  check Alcotest.(list string) "eof" [] (Conn.read c);
+  check Alcotest.bool "eof marks dead" false (Conn.alive c)
+
+let test_conn_peer_closed () =
+  with_pair @@ fun a b ->
+  let c = Conn.create a in
+  Unix.close b;
+  (* EPIPE on a write: marked dead, no exception *)
+  check Alcotest.bool "send reports the dead peer" false (Conn.send c "1 ok");
+  check Alcotest.bool "dead" false (Conn.alive c);
+  check Alcotest.bool "nothing queued for a dead peer" false
+    (Conn.has_output c);
+  check Alcotest.bool "later sends dropped" false (Conn.send c "2 ok")
+
+let test_conn_send_after_close () =
+  with_pair @@ fun a b ->
+  let c = Conn.create a in
+  Conn.close c;
+  Conn.close c;
+  (* the closed descriptor's number is free for reuse: a send must not
+     reach whatever socket now holds it *)
+  let x, y = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close x; Unix.close y)
+    (fun () ->
+      check Alcotest.bool "send after close dropped" false (Conn.send c "1 ok");
+      Conn.flush c;
+      Unix.set_nonblock x;
+      Unix.set_nonblock y;
+      check Alcotest.string "nothing written to a reused fd" ""
+        (read_available x ^ read_available y);
+      Unix.set_nonblock b;
+      check Alcotest.string "peer sees only end of stream" ""
+        (read_available b))
+
 let () =
   Alcotest.run "dt_serve"
     [
@@ -691,6 +799,17 @@ let () =
           Alcotest.test_case "parser error context" `Quick
             test_parser_error_context;
           Alcotest.test_case "lenient csv" `Quick test_export_lenient;
+        ] );
+      ( "conn",
+        [
+          Alcotest.test_case "EAGAIN output arrives in order once" `Quick
+            test_conn_eagain_in_order;
+          Alcotest.test_case "split line reassembled" `Quick
+            test_conn_split_line;
+          Alcotest.test_case "send after peer closed" `Quick
+            test_conn_peer_closed;
+          Alcotest.test_case "send after close dropped" `Quick
+            test_conn_send_after_close;
         ] );
       ( "fuzz",
         [
