@@ -51,29 +51,36 @@ let estimates ?only () =
   let glob = [| 0.6; 1.4 |] in
   let spec = Dt_difftune.Spec.mca_full uarch in
   let staged_sample = spec.sample (Dt_util.Rng.create 7) in
-  (* One full training step over a reused workspace: constants + forward
-     + MAPE + backward, gradients cleared at the end.
+  (* Legacy row names keep their PR 5 semantics — the interpreted tape —
+     so the committed baselines stay comparable.  The per-sequence rows
+     build the [Model.predict] graph on a reset context with no plan
+     cache; the batched rows pin the executor with [Ad.set_compile] (a
+     ref write, invisible at these scales).  The [_compiled] rows
+     measure the same math through record/plan/replay.
 
-     Legacy row names keep their PR 5 semantics — the interpreted tape —
-     so the committed baselines stay comparable; each closure pins the
-     executor itself (the flag is a ref write, invisible at these
-     scales).  The [_compiled] rows measure the same math through
-     record/plan/replay. *)
+     [surrogate.forward] is one interpreted per-sequence forward;
+     [surrogate.forward_backward] is one full training step over a
+     reused workspace: constants + forward + MAPE + backward, gradients
+     cleared at the end. *)
   let store = Model.store model in
-  let ctx = Ad.new_ctx () in
-  let train_step () =
-    Ad.set_compile false;
-    Ad.reset ctx;
+  let seq_predict ctx =
     let params =
       {
         Model.per_instr = Array.map (fun v -> Ad.constant ctx (T.vector v)) per;
         global = Some (Ad.constant ctx (T.vector glob));
       }
     in
-    let pred =
-      Model.predict model ctx block ~params:(Some params) ~features:None
-    in
-    let loss = Ad.mape ctx pred ~target:2.0 in
+    Model.predict model ctx block ~params:(Some params) ~features:None
+  in
+  let fwd_ctx = Ad.new_ctx () in
+  let forward () =
+    Ad.reset fwd_ctx;
+    Ad.scalar_value (seq_predict fwd_ctx)
+  in
+  let ctx = Ad.new_ctx () in
+  let train_step () =
+    Ad.reset ctx;
+    let loss = Ad.mape ctx (seq_predict ctx) ~target:2.0 in
     Ad.backward ctx loss;
     Dt_nn.Nn.Store.zero_grads store
   in
@@ -87,17 +94,7 @@ let estimates ?only () =
     Ad.set_compile true;
     let loss =
       Ad.with_plan plan_cache plan_ctx ~key:"bench.fb" ~grad:true (fun ctx ->
-          let params =
-            {
-              Model.per_instr =
-                Array.map (fun v -> Ad.constant ctx (T.vector v)) per;
-              global = Some (Ad.constant ctx (T.vector glob));
-            }
-          in
-          let pred =
-            Model.predict model ctx block ~params:(Some params) ~features:None
-          in
-          Ad.mape ctx pred ~target:2.0)
+          Ad.mape ctx (seq_predict ctx) ~target:2.0)
     in
     Ad.backward plan_ctx loss;
     Dt_nn.Nn.Store.zero_grads store
@@ -178,11 +175,7 @@ let estimates ?only () =
         Test.make ~name:"mca.timing_random_table"
           (Staged.stage (fun () -> spec.timing staged_sample block)) );
       ( "surrogate.forward",
-        Test.make ~name:"surrogate.forward"
-          (Staged.stage (fun () ->
-               Ad.set_compile false;
-               Dt_surrogate.Model.predict_value model block
-                 ~params:(Some (per, glob)) ())) );
+        Test.make ~name:"surrogate.forward" (Staged.stage forward) );
       ( "surrogate.forward_backward",
         Test.make ~name:"surrogate.forward_backward" (Staged.stage train_step)
       );
@@ -752,10 +745,9 @@ let perf_json () =
 (* ---- perf regression guard (make bench-guard) ----
 
    Re-measures a small set of guarded rows and fails when any of them
-   regresses more than [guard_threshold] against the newest committed
-   BENCH_PR*.json baseline.  The JSON "parser" is a literal key scan:
-   the files are machine-written by [perf_json] above, so the format is
-   fixed. *)
+   regresses more than its threshold against the newest committed
+   BENCH_PR<n>.json baseline that records it.  Baselines are parsed
+   with [Dt_util.Json]. *)
 
 (* (key, allowed ratio vs baseline).  Thresholds are sized to each
    row's observed run-to-run spread on the reference machine (a shared,
@@ -767,22 +759,18 @@ let perf_json () =
 let guard_keys =
   [ ("surrogate.forward", 1.5); ("mca.timing", 1.25); ("tokenizer", 1.6) ]
 
-(* Newest first.  Snapshots are cumulative per PR but not per key — a
-   PR's file records only the rows its harness measures (BENCH_PR9 is
-   the fleet load test, BENCH_PR8 the perf rows), so the guard looks
-   each key up across every committed baseline, newest first. *)
+(* Every BENCH_PR<n>.json in the working directory, newest (largest n,
+   compared as a number) first.  Snapshots are cumulative per PR but not
+   per key — a PR's file records only the rows its harness measures
+   (BENCH_PR9 is the fleet load test, BENCH_PR8 the perf rows), so the
+   guard looks each key up across every committed baseline, newest
+   first. *)
 let baseline_files () =
-  List.filter Sys.file_exists
-    [
-      "BENCH_PR10.json";
-      "BENCH_PR9.json";
-      "BENCH_PR8.json";
-      "BENCH_PR7.json";
-      "BENCH_PR6.json";
-      "BENCH_PR5.json";
-      "BENCH_PR3.json";
-      "BENCH_PR1.json";
-    ]
+  Array.to_list (Sys.readdir ".")
+  |> List.filter_map (fun f ->
+         Scanf.sscanf_opt f "BENCH_PR%u.json%!" (fun n -> (n, f)))
+  |> List.sort (fun (a, _) (b, _) -> compare b a)
+  |> List.map snd
 
 (* Absolute bounds on derived rows of the committed PR 6 snapshot: the
    compiled executor must keep its claimed wins, not just avoid drift.
@@ -828,38 +816,15 @@ let guard_absolute =
     ("sampling.uniform_mape", `Max, 0.25);
   ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let json_number content key =
-  match find_sub content (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i ->
-      let n = String.length content in
-      let j = ref (i + String.length key + 3) in
-      while !j < n && content.[!j] = ' ' do incr j done;
-      let k = ref !j in
-      while
-        !k < n
-        && (match content.[!k] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr k
-      done;
-      float_of_string_opt (String.sub content !j (!k - !j))
+(* The first member named [key] anywhere in [j], in document order. *)
+let rec json_find key (j : Dt_util.Json.t) =
+  match j with
+  | Obj members ->
+      List.find_map
+        (fun (k, v) -> if String.equal k key then Some v else json_find key v)
+        members
+  | List items -> List.find_map (json_find key) items
+  | Null | Bool _ | Num _ | Str _ -> None
 
 let perf_guard () =
   match baseline_files () with
@@ -869,11 +834,13 @@ let perf_guard () =
          bench-json` and commit the result";
       exit 1
   | files ->
-      let baselines = List.map (fun p -> (p, read_file p)) files in
+      let baselines = List.map (fun p -> (p, Dt_util.Json.parse_file p)) files in
       (* first baseline (newest) that records the key wins *)
       let lookup key =
         List.find_map
-          (fun (p, c) -> Option.map (fun v -> (p, v)) (json_number c key))
+          (fun (p, doc) ->
+            Option.bind (json_find key doc) Dt_util.Json.to_num
+            |> Option.map (fun v -> (p, v)))
           baselines
       in
       Printf.printf "bench-guard: baselines %s\n%!" (String.concat ", " files);
@@ -956,10 +923,11 @@ let ablation_depth () =
       let model = Dt_surrogate.Model.create ~config:cfg rng in
       let t0 = Unix.gettimeofday () in
       let n = 200 in
+      let sample =
+        { Model.bblock = block; bparams = Some (per, glob); bfeatures = None }
+      in
       for _ = 1 to n do
-        ignore
-          (Dt_surrogate.Model.predict_value model block
-             ~params:(Some (per, glob)) ())
+        ignore (Model.predict_batch_value model [| sample |])
       done;
       let dt = (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e6 in
       Printf.printf "%d-stack LSTMs: %4.0f us/forward (params: %d)\n%!" layers

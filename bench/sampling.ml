@@ -89,8 +89,10 @@ let fidelity model =
     let block = blocks.(Rng.int rng (Array.length blocks)) in
     let table = spec.Spec.sample rng in
     let per, global = Spec.normalize_block spec table block in
-    predicted.(i) <-
-      Model.predict_value model block ~params:(Some (per, global)) ();
+    let sample =
+      { Model.bblock = block; bparams = Some (per, global); bfeatures = None }
+    in
+    predicted.(i) <- (Model.predict_batch_value model [| sample |]).(0);
     actual.(i) <- spec.Spec.timing table block
   done;
   ( Dt_eval.Metrics.mape ~predicted ~actual,

@@ -257,8 +257,7 @@ let learn_cmd =
              ~doc:"Data-collection strategy: uniform (the paper's i.i.d. \
                    draw) or guided (Turaco-style complexity-guided \
                    stratified collection — equal fidelity on fewer \
-                   samples).  The DIFFTUNE_SAMPLING environment variable \
-                   overrides this.")
+                   samples).")
   in
   let run uarch size seed spec_kind full save checkpoint_dir sampling =
     guarded @@ fun () ->

@@ -138,19 +138,13 @@ let sanitize_enabled () = !sanitize
 
 (* ---- compiled-executor gate ----
 
-   On by default; DIFFTUNE_COMPILE=0 (or [set_compile false]) forces
-   every [with_plan] call through the interpreter.  The interpreted tape
-   remains the bit-exact oracle either way: the record pass IS an
-   interpreted pass, and replay must reproduce its bits exactly. *)
+   Always on in production.  Tests call [set_compile false] to force
+   every [with_plan] call through the interpreter, the bit-exact oracle:
+   the record pass IS an interpreted pass, and replay must reproduce its
+   bits exactly. *)
 
-let compile_on =
-  ref
-    (match Sys.getenv_opt "DIFFTUNE_COMPILE" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
-
+let compile_on = ref true
 let set_compile b = compile_on := b
-let compile_enabled () = !compile_on
 
 (* Raised internally by replay when the caller's trace diverges from the
    sealed plan (evicts the plan and falls back to a fresh record pass, so

@@ -247,11 +247,13 @@ val backward : ctx -> node -> unit
    only, never correctness.  Toggling sanitize or gradient mode likewise
    invalidates a sealed plan.
 
-   [DIFFTUNE_COMPILE=0] (or {!set_compile}[ false]) forces every
-   {!with_plan} call through the plain interpreter. *)
+   Compiled replay is the only production executor. *)
 
+(** [set_compile false] forces every {!with_plan} call through the plain
+    interpreter, the oracle that tests and the bench's interpreted rows
+    compare replay against; [set_compile true] (the default) restores
+    replay.  No environment variable sets it. *)
 val set_compile : bool -> unit
-val compile_enabled : unit -> bool
 
 (** A bounded LRU cache of sealed plans.  Like a context, a cache is a
     single-caller workspace: share it across domains by giving each

@@ -61,19 +61,6 @@ let default_config =
     log = ignore;
   }
 
-(* [DIFFTUNE_SAMPLING=uniform|guided] overrides [config.sampling]; the
-   guided override keeps an explicit strata config when one was set. *)
-let effective_sampling config =
-  match Sys.getenv_opt "DIFFTUNE_SAMPLING" with
-  | Some "uniform" -> Uniform
-  | Some "guided" -> (
-      match config.sampling with Guided _ as g -> g | Uniform -> Guided Strata.default)
-  | Some other ->
-      config.log
-        (Printf.sprintf "ignoring unknown DIFFTUNE_SAMPLING=%s" other);
-      config.sampling
-  | None -> config.sampling
-
 let sampling_tag = function
   | Uniform -> "uniform"
   | Guided sc -> "guided:" ^ Strata.digest sc
@@ -370,28 +357,10 @@ let bucket_len n =
   done;
   !b
 
-(* Analytic-bound features for one sample, evaluated to plain floats on
-   the shard's context (reset first; [Model.train_batch] resets again
-   before building its own graph).  During surrogate training the
-   parameters are constants, so the feature values are identical to the
-   nodes the per-sequence path would have built. *)
-let eval_features model ctx (spec : Spec.t) block (s : sim_sample) =
-  if (Model.config model).feature_width = 0 then None
-  else
-    match spec.bounds with
-    | None -> None
-    | Some f ->
-        Ad.reset ctx;
-        let per = Array.map (fun v -> Ad.constant ctx (T.vector v)) s.per in
-        let global =
-          if Array.length s.global = 0 then None
-          else Some (Ad.constant ctx (T.vector s.global))
-        in
-        Some (T.to_array (Ad.value (f ctx block ~per ~global)))
-
 let train_shard_batched model ctx (spec : Spec.t) blocks
     (data : sim_sample array) sched losses ~lo ~hi =
   if hi > lo then begin
+    let with_features = (Model.config model).feature_width > 0 in
     let steps = Array.init (hi - lo) (fun i -> lo + i) in
     let key step =
       let s = data.(sched.(step)) in
@@ -412,7 +381,13 @@ let train_shard_batched model ctx (spec : Spec.t) blocks
               {
                 Model.bblock = block;
                 bparams = Some (s.per, s.global);
-                bfeatures = eval_features model ctx spec block s;
+                bfeatures =
+                  (* On the shard's context: [Model.train_batch] resets it
+                     again before building its own graph. *)
+                  (if with_features then
+                     Spec.bound_values spec ctx block ~per:s.per
+                       ~global:s.global
+                   else None);
               })
             bucket
         in
@@ -506,7 +481,7 @@ let collect ?checkpoint_dir ?health config (spec : Spec.t) blocks =
              Printf.sprintf "all %d blocks exceed max_train_block_len %d"
                (Array.length blocks) config.max_train_block_len;
          });
-  let sampling = effective_sampling config in
+  let sampling = config.sampling in
   let n = config.sim_multiplier * Array.length eligible in
   let fp = dataset_fp config spec ~sampling ~eligible:(Array.length eligible) in
   let cached =
@@ -1427,17 +1402,9 @@ let learn_iterative ?(valid = [||]) ?checkpoint_dir config ?(rounds = 3)
 (* ------------------------------------------------------------------ *)
 
 let spec_features (spec : Spec.t) ~reference block =
-  match spec.bounds with
-  | None -> [||]
-  | Some f ->
-      let ctx = Ad.new_ctx () in
-      let per, global = Spec.normalize_block spec reference block in
-      let per = Array.map (fun v -> Ad.constant ctx (T.vector v)) per in
-      let global =
-        if Array.length global = 0 then None
-        else Some (Ad.constant ctx (T.vector global))
-      in
-      T.to_array (Ad.value (f ctx block ~per ~global))
+  let per, global = Spec.normalize_block spec reference block in
+  Option.value ~default:[||]
+    (Spec.bound_values spec (Ad.new_ctx ()) block ~per ~global)
 
 let make_ithemal_model config ~feature_width rng =
   let mcfg =
@@ -1465,7 +1432,7 @@ let make_ithemal_model config ~feature_width rng =
    collection, so high-loss strata get more gradient steps.  Total
    step count is identical either way, and the loop is sequential, so
    both modes are deterministic. *)
-let fit_ithemal ?(sampling = Uniform) config ~features rng model eligible =
+let fit_ithemal config ~features rng model eligible =
   let store = Model.store model in
   let opt = Nn.Optimizer.adam store ~lr:config.surrogate_lr in
   let n = Array.length eligible in
@@ -1516,7 +1483,7 @@ let fit_ithemal ?(sampling = Uniform) config ~features rng model eligible =
   in
   let order = Array.init n Fun.id in
   Rng.shuffle rng order;
-  match sampling with
+  match config.sampling with
   | Uniform ->
       for step = 0 to steps - 1 do
         if step > 0 && step mod n = 0 then Rng.shuffle rng order;
@@ -1585,8 +1552,7 @@ let train_ithemal config ~features ~train =
   let eligible = eligible_labeled config train in
   if Array.length eligible = 0 then
     invalid_arg "Engine.train_ithemal: no usable training blocks";
-  fit_ithemal ~sampling:(effective_sampling config) config ~features rng model
-    eligible;
+  fit_ithemal config ~features rng model eligible;
   model
 
 let retrain_ithemal config ~features ~init ~train =
@@ -1598,15 +1564,8 @@ let retrain_ithemal config ~features ~init ~train =
      changing while it serves. *)
   let model = replicate init in
   let rng = Rng.create (config.seed lxor 0x5c1f7b) in
-  fit_ithemal ~sampling:(effective_sampling config) config ~features rng model
-    eligible;
+  fit_ithemal config ~features rng model eligible;
   model
-
-let ithemal_predict ~features model block =
-  match features with
-  | Some f when (Model.config model).feature_width <> 0 ->
-      Model.predict_value model block ~params:None ~features:(f block) ()
-  | _ -> Model.predict_value model block ~params:None ()
 
 let ithemal_predict_batch ~features model blocks =
   let with_feats = (Model.config model).feature_width <> 0 in
@@ -1624,3 +1583,6 @@ let ithemal_predict_batch ~features model blocks =
       blocks
   in
   Model.predict_batch_value model samples
+
+let ithemal_predict ~features model block =
+  (ithemal_predict_batch ~features model [| block |]).(0)

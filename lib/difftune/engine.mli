@@ -43,8 +43,9 @@ module Model = Dt_surrogate.Model
     strata get more fresh samples, cheap strata re-draw from small
     table pools that resolve through the simcache.  Either way the
     dataset is bit-identical across [DIFFTUNE_DOMAINS] and resumes.
-    The [DIFFTUNE_SAMPLING=uniform|guided] environment variable
-    overrides the config at {!collect} time. *)
+    [config.sampling] is the only switch: {!collect}, {!train_ithemal}
+    and {!retrain_ithemal} read it directly, and no environment
+    variable overrides it ([difftune_cli learn --sampling] sets it). *)
 type sampling = Uniform | Guided of Strata.config
 
 type config = {
@@ -90,17 +91,13 @@ type sim_sample = {
   target : float;            (** simulator output under the sampled table *)
 }
 
-(** The sampling strategy {!collect} will actually use: [config.sampling]
-    unless [DIFFTUNE_SAMPLING] overrides it. *)
-val effective_sampling : config -> sampling
-
 (** Fingerprint tag of a strategy ([uniform] or [guided:<digest>]);
     part of the dataset checkpoint fingerprint, so switching strategies
     can never silently resume the other strategy's dataset. *)
 val sampling_tag : sampling -> string
 
 (** [collect config spec blocks] builds the simulated dataset under
-    {!effective_sampling}: per sample, a table from [spec.sample] and a
+    [config.sampling]: per sample, a table from [spec.sample] and a
     block drawn from [blocks] (uniformly, or per the guided
     allocation).  With [?checkpoint_dir] the dataset is persisted after
     collection and restored wholesale on a matching re-run; guided
@@ -185,7 +182,9 @@ val learn_iterative :
 
 (** Static per-block analytic features from a spec's bound builder
     evaluated at a fixed [reference] table (e.g. the defaults) — a
-    convenient feature function for {!train_ithemal}. *)
+    convenient feature function for {!train_ithemal}.  Each call runs
+    {!Spec.bound_values} on a context of its own, so the function is
+    safe to share; [[||]] when the spec has no bounds. *)
 val spec_features :
   Spec.t -> reference:Spec.table -> Dt_x86.Block.t -> float array
 
@@ -209,10 +208,10 @@ val train_ithemal :
     Turaco-style reuse of traffic as training data.  The optimization
     budget follows [config] ([surrogate_passes] x [sim_multiplier] x
     usable blocks), so callers shrink [surrogate_passes] for cheap
-    incremental refreshes.  Under {!Guided} sampling (or
-    [DIFFTUNE_SAMPLING=guided]) the first epoch stays uniform and the
-    remaining step budget is reallocated across strata by observed
-    loss — the same {!Sampler.allocate} rule as guided collection.
+    incremental refreshes.  Under {!Guided} sampling the first epoch
+    stays uniform and the remaining step budget is reallocated across
+    strata by observed loss — the same {!Sampler.allocate} rule as
+    guided collection.
     Raises [Invalid_argument] when every block exceeds
     [max_train_block_len]. *)
 val retrain_ithemal :
@@ -220,14 +219,17 @@ val retrain_ithemal :
   init:Model.t -> train:(Dt_x86.Block.t * float) list -> Model.t
 
 (** Prediction with a model produced by {!train_ithemal}; [features] must
-    be the same function used at training time. *)
+    be the same function used at training time.  Row 0 of
+    {!ithemal_predict_batch} on the one-block batch [[| block |]]: the
+    scalar path is a one-sample batch through the compiled executor.
+    Not thread-safe — uses the model's scratch workspace. *)
 val ithemal_predict :
   features:(Dt_x86.Block.t -> float array) option -> Model.t ->
   Dt_x86.Block.t -> float
 
 (** Batched {!ithemal_predict}: one {!Model.predict_batch_value} call
     over all blocks (each block's prediction is bit-identical to the
-    scalar path).  Not thread-safe — uses the model's scratch
+    one-block batch).  Not thread-safe — uses the model's scratch
     workspace. *)
 val ithemal_predict_batch :
   features:(Dt_x86.Block.t -> float array) option -> Model.t ->

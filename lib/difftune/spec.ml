@@ -1,5 +1,6 @@
 module Rng = Dt_util.Rng
 module Ad = Dt_autodiff.Ad
+module T = Dt_tensor.Tensor
 
 type table = { per : float array array; global : float array }
 
@@ -102,6 +103,18 @@ let normalize_block spec table (block : Dt_x86.Block.t) =
         (table.global.(j) -. spec.global_lower.(j)) *. spec.global_scale.(j))
   in
   (per, global)
+
+let bound_values spec ctx block ~per ~global =
+  match spec.bounds with
+  | None -> None
+  | Some f ->
+      Ad.reset ctx;
+      let per = Array.map (fun v -> Ad.constant ctx (T.vector v)) per in
+      let global =
+        if Array.length global = 0 then None
+        else Some (Ad.constant ctx (T.vector global))
+      in
+      Some (T.to_array (Ad.value (f ctx block ~per ~global)))
 
 let flatten spec table =
   let n = Dt_x86.Opcode.count in

@@ -65,6 +65,15 @@ val round_table : t -> table -> table
 val normalize_block :
   t -> table -> Dt_x86.Block.t -> float array array * float array
 
+(** [bound_values spec ctx block ~per ~global] — the [bounds] vector at
+    constant normalized inputs (as from {!normalize_block}), read back
+    as floats; [None] when the spec has no [bounds].  Resets and reuses
+    [ctx] rather than allocating a context, so per-sample callers pass
+    one they own. *)
+val bound_values :
+  t -> Dt_autodiff.Ad.ctx -> Dt_x86.Block.t -> per:float array array ->
+  global:float array -> float array option
+
 (** Flatten/unflatten to a single vector (for the black-box baseline).
     Layout: globals first, then per-opcode rows in opcode order. *)
 val flatten : t -> table -> float array

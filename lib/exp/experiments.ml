@@ -1,6 +1,7 @@
 module Uarch = Dt_refcpu.Uarch
 module Spec = Dt_difftune.Spec
 module Engine = Dt_difftune.Engine
+module Model = Dt_surrogate.Model
 module Metrics = Dt_eval.Metrics
 module Stats = Dt_util.Stats
 module Rng = Dt_util.Rng
@@ -205,34 +206,20 @@ let fig2 runner =
   let block = Dt_x86.Block.parse "shrq $5, 16(%rsp)" in
   let dflt_table = Spec.mca_table_of_params (Runner.default_params uarch) in
   let t = Tt.create [ "DispatchWidth"; "llvm-mca"; "Surrogate" ] in
+  let ctx = Dt_autodiff.Ad.new_ctx () in
   for dw = 1 to 10 do
     let table = Spec.copy_table dflt_table in
     table.global.(0) <- float_of_int dw;
     let sim = spec.timing table block in
     let per, global = Spec.normalize_block spec table block in
     let surrogate =
-      let ctx = Dt_autodiff.Ad.new_ctx () in
-      let per_n =
-        Array.map
-          (fun v -> Dt_autodiff.Ad.constant ctx (Dt_tensor.Tensor.vector v))
-          per
+      let bfeatures =
+        if (Model.config run.model).feature_width > 0 then
+          Spec.bound_values spec ctx block ~per ~global
+        else None
       in
-      let global_n =
-        if Array.length global = 0 then None
-        else Some (Dt_autodiff.Ad.constant ctx (Dt_tensor.Tensor.vector global))
-      in
-      let params =
-        { Dt_surrogate.Model.per_instr = per_n; global = global_n }
-      in
-      let features =
-        match spec.bounds with
-        | Some f when (Dt_surrogate.Model.config run.model).feature_width > 0 ->
-            Some (f ctx block ~per:per_n ~global:global_n)
-        | _ -> None
-      in
-      Dt_autodiff.Ad.scalar_value
-        (Dt_surrogate.Model.predict run.model ctx block ~params:(Some params)
-           ~features)
+      (Model.predict_batch_value run.model
+         [| { Model.bblock = block; bparams = Some (per, global); bfeatures } |]).(0)
     in
     Tt.add_row t
       [ string_of_int dw; Printf.sprintf "%.2f" sim;
@@ -538,42 +525,24 @@ let ablation_surrogate runner =
   let train_data = Array.sub data 0 (n * 9 / 10) in
   let held = Array.sub data (n * 9 / 10) (n - (n * 9 / 10)) in
   let fidelity model =
+    let with_features = (Model.config model).feature_width > 0 in
+    let ctx = Dt_autodiff.Ad.new_ctx () in
     let errs =
       Array.map
         (fun (s : Engine.sim_sample) ->
           let block = blocks.(s.block_idx) in
-          let features =
-            match spec.bounds with
-            | Some f when (Dt_surrogate.Model.config model).feature_width > 0
-              ->
-                let ctx = Dt_autodiff.Ad.new_ctx () in
-                let per =
-                  Array.map
-                    (fun v ->
-                      Dt_autodiff.Ad.constant ctx (Dt_tensor.Tensor.vector v))
-                    s.per
-                in
-                let global =
-                  if Array.length s.global = 0 then None
-                  else
-                    Some
-                      (Dt_autodiff.Ad.constant ctx
-                         (Dt_tensor.Tensor.vector s.global))
-                in
-                Some
-                  (Dt_tensor.Tensor.to_array
-                     (Dt_autodiff.Ad.value (f ctx block ~per ~global)))
-            | _ -> None
+          let sample =
+            {
+              Model.bblock = block;
+              bparams = Some (s.per, s.global);
+              bfeatures =
+                (if with_features then
+                   Spec.bound_values spec ctx block ~per:s.per
+                     ~global:s.global
+                 else None);
+            }
           in
-          let p =
-            match features with
-            | Some f ->
-                Dt_surrogate.Model.predict_value model block
-                  ~params:(Some (s.per, s.global)) ~features:f ()
-            | None ->
-                Dt_surrogate.Model.predict_value model block
-                  ~params:(Some (s.per, s.global)) ()
-          in
+          let p = (Model.predict_batch_value model [| sample |]).(0) in
           Float.abs (p -. s.target) /. Float.max s.target 1e-3)
         held
     in

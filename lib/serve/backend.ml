@@ -85,35 +85,5 @@ let bound uarch =
     xstats = None;
   }
 
-let surrogate ~features model =
-  {
-    name = "surrogate";
-    predict =
-      (fun ~cycle_budget:_ block ->
-        Dt_difftune.Engine.ithemal_predict ~features model block);
-    predict_batch =
-      (* The runtime prefetches each admitted batch with one call on the
-         drain thread, so the model's (single-caller) scratch workspace
-         is safe here. *)
-      Some
-        (fun ~cycle_budget:_ blocks ->
-          Dt_difftune.Engine.ithemal_predict_batch ~features model blocks);
-    xstats =
-      (* Compiled-executor counters, the serving analogue of the mca
-         backend's simcache numbers: how often predictions replayed a
-         sealed plan vs paid an interpreted record pass. *)
-      Some
-        (fun () ->
-          let s = Dt_autodiff.Ad.plan_stats () in
-          [
-            ("plans_compiled", string_of_int s.Dt_autodiff.Ad.plans_compiled);
-            ("plan_hits", string_of_int s.Dt_autodiff.Ad.plan_hits);
-            ("plan_misses", string_of_int s.Dt_autodiff.Ad.plan_misses);
-            ("plan_replays", string_of_int s.Dt_autodiff.Ad.plan_replays);
-            ("fused_ops", string_of_int s.Dt_autodiff.Ad.fused_ops);
-            ("slab_bytes", string_of_int s.Dt_autodiff.Ad.slab_bytes);
-          ]);
-  }
-
 let custom ?batch ?xstats name predict =
   { name; predict; predict_batch = batch; xstats }

@@ -5,8 +5,10 @@
 
     {v surrogate -> mca -> bound v}
 
-    - {!surrogate}: a trained neural model (Ithemal-style); fixed
-      compute per instruction, never needs a cycle budget;
+    - the surrogate lane is {!Lifecycle.backend} (named
+      ["surrogate"]): a trained neural model (Ithemal-style) behind
+      drift scoring, retraining and hot-swap; fixed compute per
+      instruction, never needs a cycle budget;
     - {!mca}: the llvm-mca clone under a parameter table (possibly a
       learned one — which is exactly when a pathological table can make
       it pathologically slow, hence the enforced [cycle_budget]);
@@ -52,14 +54,6 @@ val mca :
 (** Analytic bound backend (named ["bound"]); ignores the cycle
     budget — its cost is O(block length). *)
 val bound : Dt_refcpu.Uarch.uarch -> t
-
-(** [surrogate ~features model] — a model trained by
-    [Dt_difftune.Engine.train_ithemal]; [features] must match training
-    time.  Named ["surrogate"].  Provides [predict_batch] through the
-    batched surrogate path, each prediction bit-identical to
-    [predict]. *)
-val surrogate :
-  features:(Dt_x86.Block.t -> float array) option -> Dt_surrogate.Model.t -> t
 
 (** Arbitrary predictor, for tests and custom deployments; [?batch] and
     [?xstats] populate the optional fields. *)

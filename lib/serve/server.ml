@@ -56,15 +56,11 @@ let final_stats_line rt ~drained =
      accepting connections and reading bytes but never replies — the
      half-open-connection partition that only timeouts can detect;
    - [cluster.slow_shard]: one request stalls the daemon past any
-     reasonable router budget (DIFFTUNE_SLOW_SHARD_S seconds, default
-     0.75) — the reply eventually arrives *after* the router has failed
-     over, exercising late-reply discard. *)
+     reasonable router budget ([slow_shard_delay] seconds) — the reply
+     eventually arrives *after* the router has failed over, exercising
+     late-reply discard. *)
 
-let slow_shard_delay =
-  lazy
-    (match Sys.getenv_opt "DIFFTUNE_SLOW_SHARD_S" with
-    | Some s -> ( match float_of_string_opt s with Some f when f >= 0.0 -> f | _ -> 0.75)
-    | None -> 0.75)
+let slow_shard_delay = 0.75
 
 let fire_cluster_faults ~partitioned () =
   (* [Unix._exit]: no at_exit, no finalizers — the socket file stays
@@ -72,7 +68,7 @@ let fire_cluster_faults ~partitioned () =
   if Faultsim.fire "cluster.shard_crash" then Unix._exit 70;
   if Faultsim.fire "cluster.net_partition" then partitioned := true;
   if Faultsim.fire "cluster.slow_shard" then
-    Unix.sleepf (Lazy.force slow_shard_delay)
+    Unix.sleepf slow_shard_delay
 
 (* ---- stdio ---- *)
 

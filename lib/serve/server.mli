@@ -38,9 +38,8 @@
     fleet spec: [cluster.shard_crash] kills the process abruptly
     ([Unix._exit 70], stale socket left behind), [cluster.net_partition]
     keeps the daemon accepting and reading but never replying from the
-    armed hit on, [cluster.slow_shard] stalls one request for
-    [DIFFTUNE_SLOW_SHARD_S] seconds (default 0.75) so its reply lands
-    after the router has failed over. *)
+    armed hit on, [cluster.slow_shard] stalls one request for a fixed
+    0.75 s so its reply lands after the router has failed over. *)
 
 (** [with_drain_signals f] — run [f] with the [SIGTERM]/[SIGINT] drain
     handlers installed (restored afterwards).  Exposed so other serving

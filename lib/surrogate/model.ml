@@ -40,7 +40,7 @@ type t = {
   instr_lstm : Nn.Lstm.t;
   head1 : Nn.Linear.t;
   head2 : Nn.Linear.t option;
-  scratch : Ad.ctx;  (** workspace for gradient-free {!predict_value} calls *)
+  scratch : Ad.ctx;  (** workspace for gradient-free {!predict_batch_value} calls *)
   pcache : Ad.plan_cache;  (** compiled plans, one per trace signature *)
 }
 
@@ -344,17 +344,18 @@ let forward_batch t ctx (samples : batch_sample array) =
 
 (* ---- compiled capture ----
 
-   The three entry points below wrap their traces in {!Ad.with_plan}:
+   The two entry points below wrap their traces in {!Ad.with_plan}:
    the first couple of calls per signature run interpreted (and record),
    later calls replay the sealed plan.  Capturing at the model level
    subsumes the LSTM layers — their ops are recorded as part of the
    enclosing trace, so `lib/nn` needs no plan awareness of its own.
+   A one-sample batch is the scalar prediction: there is no separate
+   per-sequence forward entry point.
 
-   Keys are exact — the block texts pin the tokenization and bucket
-   structure — while everything per-call (parameter values, features,
-   targets, gather indices, pad masks) rebinds during replay.  A key
-   collision or structural drift only costs a re-record; it can never
-   corrupt results. *)
+   Everything per-call (parameter values, features, targets, gather
+   indices, pad masks) rebinds during replay.  A key collision or
+   structural drift only costs a re-record; it can never corrupt
+   results. *)
 
 (* The batched trace's structure depends only on the batch's {e shape
    profile}: per-sample instruction counts and per-instruction token
@@ -406,37 +407,3 @@ let predict_batch_value t (samples : batch_sample array) =
   in
   let v = Ad.value pred in
   Array.init (Array.length samples) (fun i -> T.get v i 0)
-
-let predict_value t (block : Dt_x86.Block.t) ~params ?features () =
-  let ctx = t.scratch in
-  let key =
-    Printf.sprintf "seq|%s|%s|%s"
-      (match params with
-      | None -> "-"
-      | Some (per, glob) ->
-          Printf.sprintf "p%d.%d" (Array.length per) (Array.length glob))
-      (match features with
-      | None -> "-"
-      | Some f -> string_of_int (Array.length f))
-      (Dt_x86.Block.to_string block)
-  in
-  let pred =
-    Ad.with_plan t.pcache ctx ~key ~grad:false ~warmup:2 (fun ctx ->
-        let params =
-          Option.map
-            (fun (per, glob) ->
-              {
-                per_instr =
-                  Array.map (fun v -> Ad.constant ctx (T.vector v)) per;
-                global =
-                  (if Array.length glob = 0 then None
-                   else Some (Ad.constant ctx (T.vector glob)));
-              })
-            params
-        in
-        let features =
-          Option.map (fun f -> Ad.constant ctx (T.vector f)) features
-        in
-        predict t ctx block ~params ~features)
-  in
-  Ad.scalar_value pred

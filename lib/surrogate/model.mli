@@ -65,12 +65,6 @@ val predict :
   t -> Dt_autodiff.Ad.ctx -> Dt_x86.Block.t -> params:param_inputs option ->
   features:Dt_autodiff.Ad.node option -> Dt_autodiff.Ad.node
 
-(** Convenience: scalar prediction without gradient use; [features] are
-    plain floats. *)
-val predict_value :
-  t -> Dt_x86.Block.t -> params:(float array array * float array) option ->
-  ?features:float array -> unit -> float
-
 (* ---- batched path ---- *)
 
 (** One element of a batched forward: the block plus the plain-float
@@ -104,6 +98,9 @@ val train_batch :
   float array
 
 (** [predict_batch_value t samples] — gradient-free batched prediction
-    on the model's scratch workspace (not thread-safe; one caller at a
-    time, like {!predict_value}). *)
+    through the compiled executor, on the model's scratch workspace and
+    plan cache (not thread-safe; one caller at a time).  A one-sample
+    batch [[| s |]] is the scalar prediction: there is no other
+    gradient-free forward, and row [i] is bit-identical to {!predict} on
+    sample [i] alone. *)
 val predict_batch_value : t -> batch_sample array -> float array

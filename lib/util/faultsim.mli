@@ -66,10 +66,9 @@
       keeps accepting connections and reading requests but never
       replies: the half-open partition only the router's reply timeout
       can detect;
-    - [cluster.slow_shard] — stall a serve daemon on one request for
-      [DIFFTUNE_SLOW_SHARD_S] seconds (default 0.75), past any
-      reasonable router budget: the reply lands {e after} failover,
-      exercising late-reply discard.
+    - [cluster.slow_shard] — stall a serve daemon on one request for a
+      fixed 0.75 s, past any reasonable router budget: the reply lands
+      {e after} failover, exercising late-reply discard.
 
     Hit counters are shared across domains (mutex-protected) so a spec
     like [pool.worker\@5] fires exactly once regardless of how the pool

@@ -49,16 +49,14 @@ let block i =
 
 (* The supervisor's own environment must never leak fault arming into
    the fleet: shard faults come only from the spec. *)
-let fleet_env extra =
+let fleet_env () =
   let keep e =
     not
       (String.length e >= 15
       && (String.sub e 0 15 = "DIFFTUNE_FAULTS"
          || String.sub e 0 15 = "DIFFTUNE_DOMAIN"))
   in
-  Array.append
-    (Array.of_list (List.filter keep (Array.to_list (Unix.environment ()))))
-    (Array.of_list extra)
+  Array.of_list (List.filter keep (Array.to_list (Unix.environment ())))
 
 let connect_with_retry path =
   let deadline = Unix.gettimeofday () +. 15.0 in
@@ -162,7 +160,7 @@ let scenario_seq = ref 0
 (* Write the spec, spawn the fleet, hand a connected client channel to
    [drive] (which must end with shutdown), then collect the supervisor's
    stdout report and exit status. *)
-let fleet_scenario name ~spec ~extra_env drive =
+let fleet_scenario name ~spec drive =
   Printf.printf "fleet_smoke: scenario %s\n%!" name;
   incr scenario_seq;
   let dir =
@@ -181,7 +179,7 @@ let fleet_scenario name ~spec ~extra_env drive =
   let pid =
     Unix.create_process_env cli
       [| cli; "fleet"; spec_path |]
-      (fleet_env extra_env) devnull out_w Unix.stderr
+      (fleet_env ()) devnull out_w Unix.stderr
   in
   Unix.close devnull;
   Unix.close out_w;
@@ -262,7 +260,7 @@ let shutdown fd ic name =
 let scenario_clean () =
   let name = "clean" in
   let report =
-    fleet_scenario name ~spec:(spec_json ()) ~extra_env:[]
+    fleet_scenario name ~spec:(spec_json ())
       (fun ~router:_ fd ic ->
         let lines = storm fd ic name 30 in
         (* with all shards up, nothing degrades *)
@@ -299,7 +297,6 @@ let scenario_crash () =
   let report =
     fleet_scenario name
       ~spec:(spec_json ~faults:[ (0, "cluster.shard_crash@10") ] ())
-      ~extra_env:[]
       (fun ~router:_ fd ic ->
         ignore (storm fd ic name 80);
         (* let the supervisor notice the corpse and restart it *)
@@ -322,7 +319,6 @@ let scenario_partition () =
       ~spec:
         (spec_json ~faults:[ (1, "cluster.net_partition@4") ]
            ~reply_budget:0.15 ~eject_after:2 ())
-      ~extra_env:[]
       (fun ~router:_ fd ic ->
         ignore (storm fd ic name 40);
         (* a merged stats report still answers (partial: the partitioned
@@ -350,7 +346,6 @@ let scenario_slow () =
       ~spec:
         (spec_json ~faults:[ (2, "cluster.slow_shard@6") ] ~reply_budget:0.15
            ())
-      ~extra_env:[ "DIFFTUNE_SLOW_SHARD_S=0.6" ]
       (fun ~router:_ fd ic ->
         ignore (storm fd ic name 40);
         (* give the stalled reply time to arrive (and be discarded) *)
@@ -369,7 +364,7 @@ let scenario_slow () =
 let scenario_slow_reader () =
   let name = "slow-reader" in
   ignore
-    (fleet_scenario name ~spec:(spec_json ()) ~extra_env:[]
+    (fleet_scenario name ~spec:(spec_json ())
        (fun ~router fd ic ->
          let a = connect_with_retry router in
          let b = connect_with_retry router in

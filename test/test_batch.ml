@@ -235,6 +235,19 @@ let small_cfg =
 
 let physics_cfg = { small_cfg with feature_width = 2; head_hidden = 4 }
 
+(* The serving model's shape ([Engine.train_ithemal]): no parameter
+   inputs, an MLP head, with and without analytic features. *)
+let ithemal_cfg =
+  {
+    small_cfg with
+    with_params = false;
+    per_instr_params = 0;
+    global_params = 0;
+    head_hidden = 4;
+  }
+
+let ithemal_physics_cfg = { ithemal_cfg with feature_width = 3 }
+
 let mk_samples rng cfg n =
   Array.init n (fun _ ->
       let app = Rng.choice rng Dt_bhive.Generator.applications in
@@ -253,7 +266,29 @@ let mk_samples rng cfg n =
             (Array.init cfg.Model.feature_width (fun _ ->
                  0.5 +. Rng.float rng 4.0))
       in
-      { Model.bblock = b; bparams = Some (per, glob); bfeatures = feats })
+      let bparams = if cfg.Model.with_params then Some (per, glob) else None in
+      { Model.bblock = b; bparams; bfeatures = feats })
+
+(* The per-sequence oracle's inputs: a sample's plain floats as constant
+   nodes on [ctx]. *)
+let seq_inputs ctx (s : Model.batch_sample) =
+  let const v = Ad.constant ctx (T.vector v) in
+  let params =
+    Option.map
+      (fun (per, glob) ->
+        {
+          Model.per_instr = Array.map const per;
+          global = (if Array.length glob = 0 then None else Some (const glob));
+        })
+      s.bparams
+  in
+  (params, Option.map const s.bfeatures)
+
+(* The per-sequence oracle: [Model.predict]'s graph on a fresh context. *)
+let seq_predict model (s : Model.batch_sample) =
+  let ctx = Ad.new_ctx () in
+  let params, features = seq_inputs ctx s in
+  Ad.scalar_value (Model.predict model ctx s.bblock ~params ~features)
 
 let test_forward_batch_bits cfg name () =
   let rng = Rng.create 31 in
@@ -264,14 +299,15 @@ let test_forward_batch_bits cfg name () =
   let pred = Model.forward_batch model ctx samples in
   Array.iteri
     (fun i (s : Model.batch_sample) ->
-      let seq =
-        Model.predict_value model s.bblock ~params:s.bparams
-          ?features:s.bfeatures ()
-      in
+      let seq = seq_predict model s in
       check_bits
         (Printf.sprintf "%s sample %d" name i)
         seq
-        (T.get (Ad.value pred) i 0))
+        (T.get (Ad.value pred) i 0);
+      check_bits
+        (Printf.sprintf "%s sample %d as a one-sample batch" name i)
+        seq
+        (Model.predict_batch_value model [| s |]).(0))
     samples
 
 let grads_of store =
@@ -293,18 +329,8 @@ let test_train_batch_grads () =
     Array.mapi
       (fun i (s : Model.batch_sample) ->
         Ad.reset ctx;
-        let per, glob = Option.get s.bparams in
-        let params =
-          Some
-            {
-              Model.per_instr =
-                Array.map (fun v -> Ad.constant ctx (T.vector v)) per;
-              global =
-                (if Array.length glob = 0 then None
-                 else Some (Ad.constant ctx (T.vector glob)));
-            }
-        in
-        let p = Model.predict model ctx s.bblock ~params ~features:None in
+        let params, features = seq_inputs ctx s in
+        let p = Model.predict model ctx s.bblock ~params ~features in
         let l = Ad.mape ctx p ~target:targets.(i) in
         Ad.backward ctx l;
         Ad.scalar_value l)
@@ -491,6 +517,10 @@ let () =
             (test_forward_batch_bits small_cfg "plain");
           Alcotest.test_case "physics head batch bitwise" `Quick
             (test_forward_batch_bits physics_cfg "physics");
+          Alcotest.test_case "ithemal batch bitwise" `Quick
+            (test_forward_batch_bits ithemal_cfg "ithemal");
+          Alcotest.test_case "ithemal physics head batch bitwise" `Quick
+            (test_forward_batch_bits ithemal_physics_cfg "ithemal physics");
           Alcotest.test_case "train_batch grads = sequential" `Quick
             test_train_batch_grads;
         ] );

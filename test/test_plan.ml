@@ -19,10 +19,11 @@ let check_bits name a b =
   if not (Int64.equal (bits a) (bits b)) then
     Alcotest.failf "%s: %h <> %h (bitwise)" name a b
 
+(* Compiled replay is the production default; [set_compile false]
+   selects the interpreted oracle for the duration of [f]. *)
 let with_compile on f =
-  let prev = Ad.compile_enabled () in
   Ad.set_compile on;
-  Fun.protect ~finally:(fun () -> Ad.set_compile prev) f
+  Fun.protect ~finally:(fun () -> Ad.set_compile true) f
 
 let with_sanitize on f =
   Ad.set_sanitize on;
@@ -260,27 +261,24 @@ let train_compiled_equals_interp cfg name () =
       check_grads (Printf.sprintf "%s iter %d" name i) gi gc)
     ri
 
-let test_predict_value_bitwise () =
+(* The scalar prediction is a one-sample batch. *)
+let test_one_sample_batch_bitwise () =
   let mk () = Model.create ~config:small_cfg (Rng.create 77) in
   let interp = mk () and compiled = mk () in
   let rng = Rng.create 41 in
   let samples = mk_samples rng small_cfg 5 in
-  (* Three sweeps: the compiled side's later sweeps replay per-block
-     plans (per-sequence keys are block-exact). *)
+  (* Three sweeps: the compiled side records each shape profile twice,
+     then replays its sealed plan. *)
   for sweep = 1 to 3 do
     Array.iteri
       (fun i (s : Model.batch_sample) ->
         let vi =
-          with_compile false (fun () ->
-              Model.predict_value interp s.bblock ~params:s.bparams
-                ?features:s.bfeatures ())
+          with_compile false (fun () -> Model.predict_batch_value interp [| s |])
         in
         let vc =
-          with_compile true (fun () ->
-              Model.predict_value compiled s.bblock ~params:s.bparams
-                ?features:s.bfeatures ())
+          with_compile true (fun () -> Model.predict_batch_value compiled [| s |])
         in
-        check_bits (Printf.sprintf "sweep %d block %d" sweep i) vi vc)
+        check_bits (Printf.sprintf "sweep %d block %d" sweep i) vi.(0) vc.(0))
       samples
   done
 
@@ -515,8 +513,8 @@ let () =
             (train_compiled_equals_interp small_cfg "plain");
           Alcotest.test_case "train compiled = interp (physics)" `Quick
             (train_compiled_equals_interp physics_cfg "physics");
-          Alcotest.test_case "predict_value bitwise" `Quick
-            test_predict_value_bitwise;
+          Alcotest.test_case "one-sample batch bitwise" `Quick
+            test_one_sample_batch_bitwise;
           Alcotest.test_case "predict_batch bitwise" `Quick
             test_predict_batch_bitwise;
         ] );

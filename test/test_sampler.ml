@@ -354,27 +354,6 @@ let test_strategy_fingerprint_isolation () =
       Alcotest.(check bool) "guided differs from uniform" true
         (not (dataset_eq guided uniform)))
 
-let test_sampling_env_override () =
-  let base = { toy_cfg with sampling = Engine.Uniform } in
-  let prev = Sys.getenv_opt "DIFFTUNE_SAMPLING" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "DIFFTUNE_SAMPLING"
-        (match prev with Some v -> v | None -> ""))
-    (fun () ->
-      Unix.putenv "DIFFTUNE_SAMPLING" "guided";
-      (match Engine.effective_sampling base with
-      | Engine.Guided _ -> ()
-      | Engine.Uniform -> Alcotest.fail "env guided override ignored");
-      Unix.putenv "DIFFTUNE_SAMPLING" "uniform";
-      (match Engine.effective_sampling toy_cfg with
-      | Engine.Uniform -> ()
-      | Engine.Guided _ -> Alcotest.fail "env uniform override ignored");
-      Unix.putenv "DIFFTUNE_SAMPLING" "";
-      match Engine.effective_sampling toy_cfg with
-      | Engine.Guided _ -> ()
-      | Engine.Uniform -> Alcotest.fail "empty env must fall back to config")
-
 (* ---- guided vs uniform fidelity at an equal budget ---- *)
 
 (* Held-out evaluation: fresh (θ, x) pairs the surrogate never saw,
@@ -388,8 +367,10 @@ let surrogate_mape cfg spec model blocks ~seed ~n =
     let block = blocks.(Rng.int rng (Array.length blocks)) in
     let table = spec.Spec.sample rng in
     let per, global = Spec.normalize_block spec table block in
-    predicted.(i) <-
-      Model.predict_value model block ~params:(Some (per, global)) ();
+    let sample =
+      { Model.bblock = block; bparams = Some (per, global); bfeatures = None }
+    in
+    predicted.(i) <- (Model.predict_batch_value model [| sample |]).(0);
     actual.(i) <- spec.Spec.timing table block
   done;
   Dt_eval.Metrics.mape ~predicted ~actual
@@ -473,7 +454,6 @@ let () =
             test_pilot_checkpoint_resume;
           Alcotest.test_case "strategy fingerprint isolation" `Quick
             test_strategy_fingerprint_isolation;
-          Alcotest.test_case "env override" `Quick test_sampling_env_override;
         ] );
       ( "fidelity",
         [

@@ -80,12 +80,17 @@ let small_cfg =
     instr_layers = 1;
   }
 
+(* The scalar prediction: a one-sample batch. *)
+let predict1 model ?features params =
+  (Model.predict_batch_value model
+     [| { Model.bblock = block; bparams = params; bfeatures = features } |]).(0)
+
 let test_model_with_params () =
   let rng = Rng.create 7 in
   let model = Model.create ~config:small_cfg rng in
   let per = Array.make 2 (Array.make 15 0.2) in
   let glob = [| 0.4; 1.0 |] in
-  let v = Model.predict_value model block ~params:(Some (per, glob)) () in
+  let v = predict1 model (Some (per, glob)) in
   Alcotest.(check bool) "finite" true (Float.is_finite v)
 
 let test_model_param_count_mismatch () =
@@ -94,7 +99,7 @@ let test_model_param_count_mismatch () =
   let per = Array.make 1 (Array.make 15 0.2) in
   Alcotest.(check bool) "mismatch rejected" true
     (try
-       ignore (Model.predict_value model block ~params:(Some (per, [| 0.; 0. |])) ());
+       ignore (predict1 model (Some (per, [| 0.; 0. |])));
        false
      with Invalid_argument _ -> true)
 
@@ -103,7 +108,7 @@ let test_model_requires_params () =
   let model = Model.create ~config:small_cfg rng in
   Alcotest.(check bool) "params required" true
     (try
-       ignore (Model.predict_value model block ~params:None ());
+       ignore (predict1 model None);
        false
      with Invalid_argument _ -> true)
 
@@ -111,7 +116,7 @@ let test_ithemal_mode () =
   let rng = Rng.create 8 in
   let cfg = { small_cfg with Model.with_params = false; per_instr_params = 0; global_params = 0 } in
   let model = Model.create ~config:cfg rng in
-  let v = Model.predict_value model block ~params:None () in
+  let v = predict1 model None in
   Alcotest.(check bool) "finite" true (Float.is_finite v)
 
 let test_physics_informed_positive () =
@@ -121,8 +126,7 @@ let test_physics_informed_positive () =
   let model = Model.create ~config:cfg rng in
   let per = Array.make 2 (Array.make 15 0.2) in
   let v =
-    Model.predict_value model block ~params:(Some (per, [| 0.4; 1.0 |]))
-      ~features:[| 1.5; 0.5; 2.0 |] ()
+    predict1 model ~features:[| 1.5; 0.5; 2.0 |] (Some (per, [| 0.4; 1.0 |]))
   in
   Alcotest.(check bool) "positive" true (v > 0.0)
 
@@ -133,7 +137,7 @@ let test_feature_width_checked () =
   let per = Array.make 2 (Array.make 15 0.2) in
   Alcotest.(check bool) "missing features rejected" true
     (try
-       ignore (Model.predict_value model block ~params:(Some (per, [| 0.; 0. |])) ());
+       ignore (predict1 model (Some (per, [| 0.; 0. |])));
        false
      with Invalid_argument _ -> true)
 
@@ -141,8 +145,8 @@ let test_prediction_depends_on_params () =
   let rng = Rng.create 10 in
   let model = Model.create ~config:small_cfg rng in
   let mk v = Array.make 2 (Array.make 15 v) in
-  let p1 = Model.predict_value model block ~params:(Some (mk 0.0, [| 0.0; 0.0 |])) () in
-  let p2 = Model.predict_value model block ~params:(Some (mk 1.0, [| 1.0; 2.0 |])) () in
+  let p1 = predict1 model (Some (mk 0.0, [| 0.0; 0.0 |])) in
+  let p2 = predict1 model (Some (mk 1.0, [| 1.0; 2.0 |])) in
   Alcotest.(check bool) "different params, different outputs" true
     (Float.abs (p1 -. p2) > 1e-9)
 
