@@ -1,6 +1,6 @@
 # Convenience targets for the DiffTune reproduction.
 
-.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-guard bench-sampling clean doc quickstart
+.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-guard bench-sampling clean doc quickstart
 
 all: build
 
@@ -125,6 +125,11 @@ bench-full:
 # includes the sanitizer forward+backward overhead measurement).
 bench-json:
 	dune exec bench/main.exe -- perf-json
+
+# Simulator rows only (mca.timing, mca.timing_random_table) ->
+# BENCH_PR16.json, the baseline bench-guard holds mca.timing to.
+bench-json-mca:
+	dune exec bench/main.exe -- perf-json-mca
 
 # Perf regression guard: re-measures surrogate.forward, mca.timing and
 # the tokenizer (min of three passes, per-key drift thresholds) against

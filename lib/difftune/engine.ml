@@ -891,9 +891,10 @@ let extract_table (spec : Spec.t) theta_per theta_global =
 
 (* True-simulator validation error of a raw table on a block sample. *)
 let validation_error (spec : Spec.t) table valid =
+  let timing = spec.timing table in
   let acc = ref 0.0 in
   Array.iter
-    (fun (b, y) -> acc := !acc +. (Float.abs (spec.timing table b -. y) /. y))
+    (fun (b, y) -> acc := !acc +. (Float.abs (timing b -. y) /. y))
     valid;
   !acc /. float_of_int (Array.length valid)
 

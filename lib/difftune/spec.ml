@@ -283,8 +283,9 @@ let mca_full _uarch =
             |];
         });
     timing =
-      (fun t block ->
-        Dt_mca.Pipeline.timing_unchecked (mca_params_of_table t) block);
+      (fun t ->
+        let p = mca_params_of_table t in
+        fun block -> Dt_mca.Pipeline.timing_unchecked p block);
     bounds = Some mca_bounds;
   }
 
@@ -346,7 +347,7 @@ let mca_write_latency uarch =
           global = [||];
         });
     timing =
-      (fun t block ->
+      (fun t ->
         let p = Dt_mca.Params.copy default in
         let p =
           {
@@ -356,7 +357,7 @@ let mca_write_latency uarch =
                   max 0 (int_of_float (Float.round t.per.(i).(0))));
           }
         in
-        Dt_mca.Pipeline.timing_unchecked p block);
+        fun block -> Dt_mca.Pipeline.timing_unchecked p block);
     bounds = Some wl_bounds;
   }
 
@@ -427,7 +428,7 @@ let usim_spec _uarch =
           global = [||];
         });
     timing =
-      (fun t block ->
+      (fun t ->
         let geti ~min_ v = max min_ (int_of_float (Float.round v)) in
         let p : Dt_usim.Usim.params =
           {
@@ -438,7 +439,7 @@ let usim_spec _uarch =
                       geti ~min_:0 t.per.(i).(1 + q)));
           }
         in
-        Dt_usim.Usim.timing p block);
+        fun block -> Dt_usim.Usim.timing p block);
     bounds = Some usim_bounds;
   }
 
@@ -503,7 +504,7 @@ let mca_full_idioms uarch =
               t.per;
         });
     timing =
-      (fun t block ->
+      (fun t ->
         let params = mca_params_of_table t in
         let params =
           {
@@ -512,6 +513,6 @@ let mca_full_idioms uarch =
               Array.map (fun (row : float array) -> row.(idiom_col) >= 0.5) t.per;
           }
         in
-        Dt_mca.Pipeline.timing_unchecked params block);
+        fun block -> Dt_mca.Pipeline.timing_unchecked params block);
     bounds = Some idiom_bounds;
   }

@@ -32,6 +32,10 @@ type t = {
   global_scale : float array;
   sample : Dt_util.Rng.t -> table;
   timing : table -> Dt_x86.Block.t -> float;
+      (** [timing table] converts [table] to simulator parameters once
+          and returns the simulator for it, so apply it to the table
+          outside a loop over blocks.  It keeps the converted copy:
+          later edits to [table] do not reach it. *)
   bounds :
     (Dt_autodiff.Ad.ctx ->
      Dt_x86.Block.t ->

@@ -15,6 +15,11 @@ let tau3 v = Printf.sprintf "%.3f" v
 let header title =
   Printf.printf "\n=== %s ===\n%!" title
 
+(* The simulator under a fixed table, validated once for all blocks. *)
+let mca_timing params =
+  Dt_mca.Params.validate params;
+  fun block -> Dt_mca.Pipeline.timing_unchecked params block
+
 let intel = [ Uarch.Ivy_bridge; Uarch.Haswell; Uarch.Skylake ]
 let _ = intel
 
@@ -76,9 +81,7 @@ let table4 runner =
       in
       (* Default *)
       let dflt = Runner.default_params uarch in
-      let err, tau =
-        Runner.evaluate ds (fun b -> Dt_mca.Pipeline.timing dflt b)
-      in
+      let err, tau = Runner.evaluate ds (mca_timing dflt) in
       Tt.add_row t
         [ name; "Default"; pct (p_derr /. 100.); pct err; tau3 p_dtau; tau3 tau ];
       (* DiffTune (mean +- std over seeds) *)
@@ -87,7 +90,7 @@ let table4 runner =
       let stats =
         List.map
           (fun (r : Engine.result) ->
-            Runner.evaluate ds (fun b -> spec.timing r.table b))
+            Runner.evaluate ds (spec.timing r.table))
           runs
       in
       let errs = Array.of_list (List.map fst stats) in
@@ -121,7 +124,7 @@ let table4 runner =
       | None -> Tt.add_row t [ name; "IACA"; "N/A"; "N/A"; "-"; "-" ]);
       (* OpenTuner *)
       let ot = Runner.opentuner runner uarch in
-      let oterr, ottau = Runner.evaluate ds (fun b -> spec.timing ot b) in
+      let oterr, ottau = Runner.evaluate ds (spec.timing ot) in
       Tt.add_row t
         [ name; "OpenTuner"; pct (p_ot /. 100.); pct oterr; "-"; tau3 ottau ];
       Tt.add_separator t)
@@ -145,8 +148,8 @@ let table5 runner =
   let spec = Spec.mca_full uarch in
   let dflt = Runner.default_params uarch in
   let learned = (List.hd (Runner.difftune runner uarch)).table in
-  let derrs = Runner.test_errors ds (fun b -> Dt_mca.Pipeline.timing dflt b) in
-  let lerrs = Runner.test_errors ds (fun b -> spec.timing learned b) in
+  let derrs = Runner.test_errors ds (mca_timing dflt) in
+  let lerrs = Runner.test_errors ds (spec.timing learned) in
   let groups =
     Array.map
       (fun (l : Dt_bhive.Dataset.labeled) -> l.entry.apps @ [ l.entry.category ])
@@ -281,7 +284,7 @@ let fig5 runner =
   let dflt = Spec.mca_table_of_params (Runner.default_params uarch) in
   let learned = (List.hd (Runner.difftune runner uarch)).table in
   let eval table =
-    fst (Runner.evaluate ds (fun b -> spec.timing table b))
+    fst (Runner.evaluate ds (spec.timing table))
   in
   let sweep base j values =
     List.map
@@ -321,9 +324,9 @@ let ablation_wl runner =
   let wl = Runner.difftune_wl runner uarch in
   let full = List.hd (Runner.difftune runner uarch) in
   let dflt = Runner.default_params uarch in
-  let werr, wtau = Runner.evaluate ds (fun b -> wl_spec.timing wl.table b) in
-  let ferr, ftau = Runner.evaluate ds (fun b -> full_spec.timing full.table b) in
-  let derr, dtau = Runner.evaluate ds (fun b -> Dt_mca.Pipeline.timing dflt b) in
+  let werr, wtau = Runner.evaluate ds (wl_spec.timing wl.table) in
+  let ferr, ftau = Runner.evaluate ds (full_spec.timing full.table) in
+  let derr, dtau = Runner.evaluate ds (mca_timing dflt) in
   let t = Tt.create [ "Setting"; "Paper error"; "Error"; "Paper tau"; "Tau" ] in
   Tt.add_row t [ "Default"; "25.0%"; pct derr; "0.783"; tau3 dtau ];
   Tt.add_row t [ "Full parameter set"; "23.7%"; pct ferr; "0.745"; tau3 ftau ];
@@ -342,6 +345,8 @@ let cases runner =
   let wl_spec = Spec.mca_write_latency uarch in
   let wl = Runner.difftune_wl runner uarch in
   let dflt = Runner.default_params uarch in
+  let default_timing = mca_timing dflt in
+  let learned_timing = wl_spec.timing wl.table in
   let get n = (Option.get (Dt_x86.Opcode.by_name n)).Dt_x86.Opcode.index in
   let t =
     Tt.create
@@ -351,8 +356,8 @@ let cases runner =
     (fun (label, block_text, opcode) ->
       let block = Dt_x86.Block.parse block_text in
       let truth = Dt_refcpu.Machine.timing cfg block in
-      let dpred = Dt_mca.Pipeline.timing dflt block in
-      let lpred = wl_spec.timing wl.table block in
+      let dpred = default_timing block in
+      let lpred = learned_timing block in
       Tt.add_row t
         [
           label;
@@ -384,7 +389,7 @@ let table8 runner =
   let run = Runner.difftune_usim runner uarch in
   let dflt = Dt_usim.Usim.default uarch in
   let derr, dtau = Runner.evaluate ds (fun b -> Dt_usim.Usim.timing dflt b) in
-  let lerr, ltau = Runner.evaluate ds (fun b -> spec.timing run.table b) in
+  let lerr, ltau = Runner.evaluate ds (spec.timing run.table) in
   let ierr, itau = Runner.evaluate ds (Runner.ithemal runner uarch) in
   let t =
     Tt.create [ "Predictor"; "Paper error"; "Error"; "Paper tau"; "Tau" ]
@@ -405,10 +410,10 @@ let random_tables runner =
   let subset = Array.sub ds.test 0 (min 150 (Array.length ds.test)) in
   let errs =
     Array.init 10 (fun _ ->
-        let table = spec.sample rng in
+        let timing = spec.timing (spec.sample rng) in
         let predicted =
           Array.map
-            (fun (l : Dt_bhive.Dataset.labeled) -> spec.timing table l.entry.block)
+            (fun (l : Dt_bhive.Dataset.labeled) -> timing l.entry.block)
             subset
         in
         let actual =
@@ -440,11 +445,9 @@ let extension_idioms runner =
       ds.valid
   in
   let result = Engine.learn ~valid cfg spec ~train in
-  let err, tau = Runner.evaluate ds (fun b -> spec.timing result.table b) in
+  let err, tau = Runner.evaluate ds (spec.timing result.table) in
   let dflt = Runner.default_params uarch in
-  let derr, dtau =
-    Runner.evaluate ds (fun b -> Dt_mca.Pipeline.timing dflt b)
-  in
+  let derr, dtau = Runner.evaluate ds (mca_timing dflt) in
   let t = Tt.create [ "Setting"; "Error"; "Tau" ] in
   Tt.add_row t [ "Default (idioms off)"; pct derr; tau3 dtau ];
   Tt.add_row t [ "Learned table + flags"; pct err; tau3 tau ];
@@ -479,9 +482,7 @@ let measured_latency runner =
   let t =
     Tt.create [ "WriteLatency source"; "Paper error"; "Error"; "Tau" ]
   in
-  let eval params =
-    Runner.evaluate ds (fun b -> Dt_mca.Pipeline.timing params b)
-  in
+  let eval params = Runner.evaluate ds (mca_timing params) in
   let derr, dtau = eval dflt in
   Tt.add_row t [ "curated defaults"; "25.0%"; pct derr; tau3 dtau ];
   List.iter

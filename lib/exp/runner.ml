@@ -162,11 +162,11 @@ let opentuner t uarch =
          evaluates each configuration on the same benchmark set. *)
       let fixed = Array.sub train 0 (min 128 (Array.length train)) in
       let evaluate vec ~n =
-        let table = Spec.unflatten spec vec in
+        let timing = spec.timing (Spec.unflatten spec vec) in
         let acc = ref 0.0 in
         for i = 0 to n - 1 do
           let b, y = fixed.(i mod Array.length fixed) in
-          acc := !acc +. (Float.abs (spec.timing table b -. y) /. y)
+          acc := !acc +. (Float.abs (timing b -. y) /. y)
         done;
         !acc /. float_of_int n
       in

@@ -79,52 +79,141 @@ type events = {
 
 exception Budget_exceeded of { budget : int; retired : int; total : int }
 
-(* [budget] is the serving-side watchdog: a cap on simulated cycles.  A
+(* Everything the cycle loop reads from the table, resolved once per
+   block position.  An eliminated zero idiom is an instruction with no
+   ports and a zero result latency. *)
+type position = {
+  uops : int; (* NumMicroOps *)
+  slots : int; (* reorder-buffer slots: NumMicroOps clamped to the buffer *)
+  dep_dist : int array; (* distance back to each source's producer *)
+  dep_lat : int array; (* max 0 (producer WriteLatency - ReadAdvance) *)
+  ports : int array; (* ports with a nonzero PortMap entry *)
+  port_cycles : int array; (* their PortMap entries *)
+  result_latency : int; (* max WriteLatency (max PortMap) *)
+}
+
+let positions (p : Params.t) (block : Block.t) =
+  let static = analyze ~idiom_enabled:p.zero_idiom_enabled block in
+  let len = Array.length static in
+  Array.mapi
+    (fun i st ->
+      let pm = p.port_map.(st.opcode) in
+      let ports =
+        if st.idiom then [||]
+        else
+          Array.of_list
+            (List.filter
+               (fun q -> pm.(q) > 0)
+               (List.init Params.num_ports Fun.id))
+      in
+      {
+        uops = p.num_micro_ops.(st.opcode);
+        slots = min p.num_micro_ops.(st.opcode) p.reorder_buffer_size;
+        dep_dist = Array.map fst st.deps;
+        dep_lat =
+          Array.map
+            (fun (dist, slot) ->
+              let producer = static.((((i - dist) mod len) + len) mod len) in
+              max 0
+                (p.write_latency.(producer.opcode)
+                - p.read_advance.(st.opcode).(slot)))
+            st.deps;
+        ports;
+        port_cycles = Array.map (fun q -> pm.(q)) ports;
+        result_latency =
+          (if st.idiom then 0
+           else max p.write_latency.(st.opcode) (Array.fold_left max 0 pm));
+      })
+    static
+
+(* Cycle at which every source of dynamic instruction [i] is ready, or
+   [lnot producer] (negative) for a producer that has not issued. *)
+let rec sources_ready issue_time i (ps : position) d acc =
+  if d = Array.length ps.dep_dist then acc
+  else
+    let producer = i - ps.dep_dist.(d) in
+    if producer < 0 then sources_ready issue_time i ps (d + 1) acc
+    else
+      let t = issue_time.(producer) in
+      if t = max_int then lnot producer
+      else
+        sources_ready issue_time i ps (d + 1) (Int.max acc (t + ps.dep_lat.(d)))
+
+(* Cycle at which every port of [ps] is free. *)
+let rec ports_free port_busy (ps : position) d acc =
+  if d = Array.length ps.ports then acc
+  else ports_free port_busy ps (d + 1) (Int.max acc port_busy.(ps.ports.(d)))
+
+(* The cycle loop.  Each pass simulates one cycle: retire, dispatch,
+   then issue over the dispatched-but-unissued instructions, oldest
+   first.  Each waiting instruction keeps a gate from its last check: a
+   producer that had not issued, or a cycle before which its sources or
+   ports cannot be ready.  A check whose gate still holds costs one
+   comparison.  A pass in which nothing retires, dispatches or issues
+   jumps ahead to the earliest cycle at which something could: the
+   retire head's result is ready, or a cycle gate opens (an instruction
+   gated on a producer waits for that producer to issue).  Dispatch can
+   only be waiting for retirement to free reorder-buffer slots.  Every
+   one of these conditions is monotone in time while nothing else
+   happens, so the gates stay sound and every skipped cycle is one that
+   would change nothing.
+
+   [budget] is the serving-side watchdog: a cap on simulated cycles.  A
    learned table with pathological latencies or port reservations makes
-   the simulation arbitrarily slow (each simulated cycle is one loop
-   iteration), so a caller that must answer within a deadline bounds the
-   walk and receives a structured {!Budget_exceeded} carrying how far
-   retirement got.  [max_int] (the default) means unbounded; the check is
-   a single integer compare per simulated cycle. *)
+   the simulation arbitrarily long, so a caller that must answer within
+   a deadline bounds it and receives a structured {!Budget_exceeded}
+   carrying how far retirement got.  A jump stops at [budget], so the
+   exception fires at the same cycle, with the same [retired] count, as
+   a loop that visits every cycle.  [max_int] (the default) means
+   unbounded. *)
 let run ?events ?(budget = max_int) (p : Params.t) ~iterations
     (block : Block.t) =
   let len = Array.length block.instrs in
-  let static = analyze ~idiom_enabled:p.zero_idiom_enabled block in
+  let pos = positions p block in
   let n = iterations * len in
   (* Per dynamic instruction state. *)
   let issue_time = Array.make n max_int in
   let ready_time = Array.make n max_int in
-  let dispatched = Array.make n false in
   let port_busy = Array.make Params.num_ports 0 in
+  (* Dispatched-but-unissued instructions, oldest first: appended at
+     dispatch, compacted as they issue, each with its block position and
+     its gate ([lnot producer], or a cycle; 0 before the first check).
+     Each holds at least one reorder-buffer slot, so the buffer size
+     bounds their number. *)
+  let cap = min n p.reorder_buffer_size in
+  let waiting = Array.make cap 0 in
+  let waiting_pos = Array.make cap 0 in
+  let gate = Array.make cap 0 in
+  let n_waiting = ref 0 in
   let rob_free = ref p.reorder_buffer_size in
   let dispatch_head = ref 0 in
   (* Micro-ops of the head instruction still to be dispatched this and
      following cycles. *)
   let head_uops_left = ref 0 in
   let retire_head = ref 0 in
-  let oldest_waiting = ref 0 in
   let cycle = ref 0 in
-  let uops i = p.num_micro_ops.(static.(i mod len).opcode) in
   while !retire_head < n do
     if !cycle >= budget then
       raise (Budget_exceeded { budget; retired = !retire_head; total = n });
     let now = !cycle in
+    let acted = ref false in
     (* ---- Retire: in order, executed instructions, DispatchWidth
        micro-ops per cycle (llvm-mca's retire-control-unit default). ---- *)
     let retire_budget = ref p.dispatch_width in
     let blocked = ref false in
     while (not !blocked) && !retire_head < n && !retire_budget > 0 do
       let i = !retire_head in
-      let u = min (uops i) p.reorder_buffer_size in
+      let u = pos.(i mod len).slots in
       (* An instruction wider than the whole budget retires alone,
          consuming the full cycle (multi-cycle retirement approximation). *)
       let fits = u <= !retire_budget || !retire_budget = p.dispatch_width in
-      if dispatched.(i) && ready_time.(i) <= now && fits then begin
-        retire_budget := max 0 (!retire_budget - u);
+      if ready_time.(i) <= now && fits then begin
+        retire_budget := Int.max 0 (!retire_budget - u);
         rob_free := !rob_free + u;
         (match events with
         | Some e -> e.retire_at.(i) <- now
         | None -> ());
+        acted := true;
         incr retire_head
       end
       else blocked := true
@@ -136,83 +225,72 @@ let run ?events ?(budget = max_int) (p : Params.t) ~iterations
     let stalled = ref false in
     while (not !stalled) && !dispatch_head < n && !dispatch_budget > 0 do
       let i = !dispatch_head in
+      let ps = pos.(i mod len) in
       if !head_uops_left = 0 then begin
-        let need = min (uops i) p.reorder_buffer_size in
-        if need <= !rob_free then begin
-          rob_free := !rob_free - need;
-          head_uops_left := uops i
+        if ps.slots <= !rob_free then begin
+          rob_free := !rob_free - ps.slots;
+          head_uops_left := ps.uops
         end
         else stalled := true
       end;
       if not !stalled then begin
-        let take = min !head_uops_left !dispatch_budget in
+        let take = Int.min !head_uops_left !dispatch_budget in
         head_uops_left := !head_uops_left - take;
         dispatch_budget := !dispatch_budget - take;
+        acted := true;
         if !head_uops_left = 0 then begin
-          dispatched.(i) <- true;
           (match events with
           | Some e -> e.dispatch_at.(i) <- now
           | None -> ());
+          waiting.(!n_waiting) <- i;
+          waiting_pos.(!n_waiting) <- i mod len;
+          gate.(!n_waiting) <- 0;
+          incr n_waiting;
           incr dispatch_head
         end
       end
     done;
-    (* ---- Issue: scan dispatched-but-unissued instructions oldest first;
-       an instruction issues when every source is ready and every port in
-       its PortMap is free, reserving those ports. ---- *)
-    let first_unissued = ref (-1) in
-    for i = !oldest_waiting to !dispatch_head - 1 do
-      if issue_time.(i) = max_int && dispatched.(i) then begin
-        if !first_unissued < 0 then first_unissued := i;
-        let st = static.(i mod len) in
-        let deps_ready =
-          Array.for_all
-            (fun (dist, slot) ->
-              let producer = i - dist in
-              producer < 0
-              || issue_time.(producer) <> max_int
-                 &&
-                 let wl = p.write_latency.(static.(producer mod len).opcode) in
-                 let ra = p.read_advance.(st.opcode).(slot) in
-                 issue_time.(producer) + max 0 (wl - ra) <= now)
-            st.deps
-        in
-        if deps_ready then
-          if st.idiom then begin
-            (* Eliminated at rename: no execution resources, results
-               available immediately. *)
-            issue_time.(i) <- now;
-            ready_time.(i) <- now;
-            match events with
-            | Some e ->
-                e.issue_at.(i) <- now;
-                e.ready_at.(i) <- now
-            | None -> ()
-          end
-          else begin
-            let pm = p.port_map.(st.opcode) in
-            let ports_free = ref true in
-            for q = 0 to Params.num_ports - 1 do
-              if pm.(q) > 0 && port_busy.(q) > now then ports_free := false
-            done;
-            if !ports_free then begin
-              for q = 0 to Params.num_ports - 1 do
-                if pm.(q) > 0 then port_busy.(q) <- now + pm.(q)
-              done;
-              issue_time.(i) <- now;
-              let max_pm = Array.fold_left max 0 pm in
-              ready_time.(i) <- now + max p.write_latency.(st.opcode) max_pm;
-              match events with
-              | Some e ->
-                  e.issue_at.(i) <- now;
-                  e.ready_at.(i) <- ready_time.(i)
-              | None -> ()
-            end
-          end
+    (* ---- Issue: scan the waiting instructions oldest first; an
+       instruction issues when every source is ready and every port in
+       its PortMap is free, reserving those ports.  [wake] collects the
+       earliest cycle at which a still-waiting instruction could issue,
+       which holds if this cycle changes nothing. ---- *)
+    let wake = ref max_int in
+    let kept = ref 0 in
+    for k = 0 to !n_waiting - 1 do
+      let i = waiting.(k) and ps = pos.(waiting_pos.(k)) in
+      let g = gate.(k) in
+      let at =
+        if (g < 0 && issue_time.(lnot g) = max_int) || g > now then g
+        else
+          let ready = sources_ready issue_time i ps 0 0 in
+          if ready < 0 then ready else ports_free port_busy ps 0 ready
+      in
+      if 0 <= at && at <= now then begin
+        for d = 0 to Array.length ps.ports - 1 do
+          port_busy.(ps.ports.(d)) <- now + ps.port_cycles.(d)
+        done;
+        let done_at = now + ps.result_latency in
+        issue_time.(i) <- now;
+        ready_time.(i) <- done_at;
+        (match events with
+        | Some e ->
+            e.issue_at.(i) <- now;
+            e.ready_at.(i) <- done_at
+        | None -> ());
+        acted := true
+      end
+      else begin
+        waiting.(!kept) <- i;
+        waiting_pos.(!kept) <- waiting_pos.(k);
+        gate.(!kept) <- at;
+        incr kept;
+        if 0 <= at && at < !wake then wake := at
       end
     done;
-    if !first_unissued >= 0 then oldest_waiting := max !oldest_waiting !first_unissued;
-    incr cycle
+    n_waiting := !kept;
+    if !acted then incr cycle
+    else cycle := Int.min budget (Int.min !wake ready_time.(!retire_head))
   done;
   !cycle
 

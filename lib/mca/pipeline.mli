@@ -27,12 +27,14 @@ exception Budget_exceeded of { budget : int; retired : int; total : int }
     per iteration of the block, simulating [iterations] (default 100)
     back-to-back copies, llvm-mca's definition of a block's timing.
 
-    [?cycle_budget] caps the number of {e simulated} cycles (and hence,
-    because every simulated cycle is one loop iteration, the wall-clock
-    work): a pathological parameter table — e.g. a learned
-    million-cycle port reservation — cannot wedge the caller.  When the
-    cap is reached {!Budget_exceeded} is raised in bounded time.  Default
-    is unbounded.
+    [?cycle_budget] caps the number of {e simulated} cycles: a
+    pathological parameter table — e.g. a learned million-cycle port
+    reservation — cannot wedge the caller.  Each pass of the simulation
+    loop advances at least one simulated cycle (cycles in which nothing
+    can happen are jumped over), so the cap still bounds the wall-clock
+    work, though loosely.  When the cap is reached {!Budget_exceeded} is
+    raised, at the same cycle and with the same fields as a loop that
+    visits every cycle.  Default is unbounded.
 
     Raises [Invalid_argument] if [params] fails {!Params.validate} or if
     [cycle_budget <= 0]. *)

@@ -7,11 +7,13 @@ type t = {
   xstats : (unit -> (string * string) list) option;
 }
 
-(* A table that makes the mca simulation crawl: every opcode takes a
-   million cycles to produce its result and holds its ports as long.
-   Swapped in for one call when the [serve.slow_block] fault site is
-   armed, so the deadline watchdog is exercised by a genuinely slow
-   simulation rather than a synthetic raise. *)
+(* A table that makes the mca simulation run past any deadline: every
+   opcode takes a million cycles to produce its result and holds its
+   ports as long.  Swapped in for one call when the [serve.slow_block]
+   fault site is armed, so the deadline watchdog is exercised by a
+   simulation that genuinely overruns rather than a synthetic raise.
+   The simulator jumps over idle cycles, so the call reaches the real
+   cycle-budget watchdog after a few events. *)
 let pathological (p : Dt_mca.Params.t) =
   {
     p with

@@ -187,6 +187,110 @@ let test_dependency_edges () =
   Alcotest.(check bool) "loop-carried edge present" true
     (Array.exists (fun (d, _) -> d >= 1) edges.(0))
 
+(* ---- event-driven loop = cycle-by-cycle oracle ----
+
+   The production loop scans only waiting instructions and jumps over
+   idle cycles; Mca_oracle keeps the loop that visits every cycle and
+   every instruction up to the dispatch head.  Fixed seeds: every run
+   compares the same cases. *)
+
+let oracle_corpus seed count =
+  let rng = Dt_util.Rng.create seed in
+  let apps = Dt_bhive.Generator.applications in
+  Array.init count (fun _ ->
+      Dt_bhive.Generator.block rng
+        ~app:apps.(Dt_util.Rng.int rng (Array.length apps)))
+
+let idiom_params (t : Dt_difftune.Spec.table) =
+  {
+    (Dt_difftune.Spec.mca_params_of_table t) with
+    Params.zero_idiom_enabled =
+      Array.map
+        (fun (row : float array) -> row.(Dt_difftune.Spec.idiom_col) >= 0.5)
+        t.per;
+  }
+
+(* The [serve.slow_block] table: every result and port reservation a
+   million cycles long. *)
+let pathological (p : Params.t) =
+  {
+    p with
+    Params.write_latency = Array.map (fun _ -> 1_000_000) p.write_latency;
+    port_map =
+      Array.map
+        (Array.map (fun c -> if c > 0 then 1_000_000 else 0))
+        p.port_map;
+  }
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Pipeline.Budget_exceeded { budget; retired; total } ->
+      Error (budget, retired, total)
+
+let test_oracle_sweep () =
+  let defaults = Array.of_list (List.map Params.default Uarch.all_uarchs) in
+  let full = Dt_difftune.Spec.mca_full Uarch.Haswell in
+  let idioms = Dt_difftune.Spec.mca_full_idioms Uarch.Haswell in
+  let cases = ref 0 and mismatches = ref [] in
+  let check label same =
+    incr cases;
+    if not same then mismatches := label () :: !mismatches
+  in
+  (* Cycles per iteration, or the Budget_exceeded fields. *)
+  let timing label p ~iterations ?budget block =
+    let expected =
+      outcome (fun () ->
+          float_of_int (Mca_oracle.run ?budget p ~iterations block)
+          /. float_of_int iterations)
+    in
+    let actual =
+      outcome (fun () ->
+          Pipeline.timing_unchecked p ~iterations ?cycle_budget:budget block)
+    in
+    check label (expected = actual)
+  in
+  (* Total cycles and all four event arrays. *)
+  let trace label p ~iterations block =
+    check label
+      (Mca_oracle.trace p ~iterations block
+      = Pipeline.trace p ~iterations block)
+  in
+  List.iter
+    (fun seed ->
+      let rng = Dt_util.Rng.create (seed + 1) in
+      Array.iteri
+        (fun j block ->
+          let label family () =
+            Printf.sprintf "seed %d block %d %s: %s" seed j family
+              (Dt_x86.Block.to_string block)
+          in
+          let iterations = 1 + (j mod 7) in
+          let budget = 1 + (j * 97 mod 399) in
+          let dflt = defaults.(j mod Array.length defaults) in
+          let random = Dt_difftune.Spec.mca_params_of_table (full.sample rng) in
+          let idiom = idiom_params (idioms.sample rng) in
+          trace (label "default trace") dflt ~iterations block;
+          timing (label "default") dflt ~iterations:100 block;
+          timing (label "default budget") dflt ~iterations:100 ~budget block;
+          trace (label "random trace") random ~iterations block;
+          timing (label "random") random ~iterations:100 block;
+          timing (label "random budget") random ~iterations:100 ~budget block;
+          trace (label "idioms trace") idiom ~iterations block;
+          timing (label "idioms") idiom ~iterations:100 block;
+          if j < 2 then
+            timing (label "pathological") (pathological dflt) ~iterations:100
+              ~budget:50_000 block)
+        (oracle_corpus seed 150))
+    [ 42; 5 ];
+  (match List.rev !mismatches with
+  | [] -> ()
+  | first :: _ -> Printf.printf "first mismatch: %s\n%!" first);
+  Alcotest.(check int)
+    (Printf.sprintf "mismatches in %d comparisons" !cases)
+    0
+    (List.length !mismatches)
+
 (* ---- properties ---- *)
 
 let gen_block_and_table =
@@ -314,6 +418,8 @@ let () =
           Alcotest.test_case "timing validates" `Quick test_timing_checked_rejects;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "dependency edges" `Quick test_dependency_edges;
+          Alcotest.test_case "event-driven loop = oracle" `Quick
+            test_oracle_sweep;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
