@@ -83,7 +83,12 @@ verify: build
 	@# Plan-cache confinement cell: table descent keeps one plan cache
 	@# per pool lane, and the race sanitizer checks each cache's owner
 	@# token while the compiled-executor suite descends at 1, 2 and 4
-	@# domains.
+	@# domains.  Descent also computes each block's token vectors on
+	@# the pool's lanes before its first step; this cell must stay
+	@# quiet with that work spread over them.  The same suite pins the
+	@# learned table's bits (test_table_compiled_equals_interp): a
+	@# learn-loop change keeps that pin and every learn-quick golden
+	@# check of the end-to-end benchmark.
 	@echo "== plan racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 dune exec test/test_plan.exe || exit 1
 	@# dt_race cell: the armed race.unlocked_write / race.lock_cycle

@@ -1082,11 +1082,15 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
             let slot, _, _, _, _ = make_theta () in
             slot)
       in
+      (* The frozen surrogate's token stage, once per eligible block:
+         [token_h.(i)] holds block i's per-instruction token vectors. *)
+      let token_h = Array.make n [||] in
       let shard_task r slot lo hi =
         let ctx = r.tctx in
         Nn.Store.zero_grads r.tstore;
         for step = lo to hi - 1 do
-          let block, y = eligible.(sched.(step)) in
+          let bi = sched.(step) in
+          let block, y = eligible.(bi) in
           (* A block recurs across passes and epochs, and its trace is
              fixed (the theta leaves change values, not structure), so
              each step replays its block's compiled plan; the theta
@@ -1129,8 +1133,9 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
                     | None -> None
                 in
                 let pred =
-                  Model.predict r.smodel ctx block ~params:(Some params)
-                    ~features
+                  Model.instr_stage r.smodel ctx
+                    (Array.map (Ad.constant ctx) token_h.(bi))
+                    ~params:(Some params) ~features
                 in
                 Ad.mape ctx pred ~target:(Float.max y 1e-3))
           in
@@ -1152,6 +1157,19 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
                   tplans = Ad.plan_cache ~capacity:64 ();
                 })
           in
+          (* Each block's vectors depend only on the block and the
+             frozen weights, so any split over the lanes gives the same
+             bits. *)
+          Pool.run_lanes pool n_shards (fun ~lane k ->
+              let r = lanes.(lane) in
+              let lo, hi = shard_range ~lo:0 ~size:n k in
+              for bi = lo to hi - 1 do
+                Ad.reset r.tctx;
+                token_h.(bi) <-
+                  Array.map
+                    (fun h -> T.copy (Ad.value h))
+                    (Model.token_stage r.smodel r.tctx (fst eligible.(bi)))
+              done);
           while !cursor < steps do
             let b0 = !cursor in
             let bsize = min config.table_batch (steps - b0) in
@@ -1164,8 +1182,8 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
             Array.iter
               (fun slot -> Nn.Store.accum_grads ~src:slot ~dst:theta_store)
               slots;
-            (* The surrogate is frozen: its accumulated gradients are
-               simply discarded. *)
+            (* The surrogate is frozen: the gradients its instruction
+               stage accumulated are simply discarded. *)
             Array.iter
               (fun r -> Nn.Store.zero_grads (Model.store r.smodel))
               lanes;

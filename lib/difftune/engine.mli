@@ -138,6 +138,14 @@ val train_surrogate :
     the validation split is the one the paper reserves for development
     decisions).
 
+    The surrogate is frozen and θ joins it only after the token LSTM,
+    so each eligible block's token vectors ({!Model.token_stage}) are
+    computed once per call, from [model], spread over the pool's lanes.
+    Every descent step feeds them to {!Model.instr_stage} as constants:
+    a step's trace holds only the instruction LSTM, the head, the
+    analytic bounds and the θ rows.  θ's gradients are those of the
+    full {!Model.predict} graph, bit for bit.
+
     Each minibatch is split into the same fixed shards as
     {!train_surrogate}.  Every pool lane keeps one surrogate replica,
     autodiff context and 64-plan cache, and runs whichever shards it

@@ -91,30 +91,42 @@ let store t = t.store
 
 type param_inputs = { per_instr : Ad.node array; global : Ad.node option }
 
-let predict t ctx (block : Dt_x86.Block.t) ~params ~features =
+(* ---- per-sequence path: two stages ----
+
+   θ joins the network only after the token LSTM (paper Figure 3), so a
+   block's token-stage output does not depend on the parameter inputs:
+   a frozen surrogate's descent can compute it once per block and feed
+   it back as constants, replaying only the instruction stage. *)
+
+let token_stage t ctx (block : Dt_x86.Block.t) =
+  Array.map
+    (fun instr ->
+      Nn.Lstm.forward t.token_lstm ctx
+        (List.map (Nn.Embedding.forward t.embedding ctx)
+           (Tokenizer.tokens instr)))
+    block.instrs
+
+let instr_stage t ctx instr_h ~params ~features =
   (match (t.cfg.with_params, params) with
-  | true, None -> invalid_arg "Model.predict: parameter inputs required"
-  | false, Some _ -> invalid_arg "Model.predict: unexpected parameter inputs"
+  | true, None -> invalid_arg "Model.instr_stage: parameter inputs required"
+  | false, Some _ ->
+      invalid_arg "Model.instr_stage: unexpected parameter inputs"
   | true, Some p ->
-      if Array.length p.per_instr <> Array.length block.instrs then
-        invalid_arg "Model.predict: per-instruction parameter count mismatch"
+      if Array.length p.per_instr <> Array.length instr_h then
+        invalid_arg
+          "Model.instr_stage: per-instruction parameter count mismatch"
   | false, None -> ());
   (match (t.cfg.feature_width, features) with
-  | 0, Some _ -> invalid_arg "Model.predict: unexpected features"
+  | 0, Some _ -> invalid_arg "Model.instr_stage: unexpected features"
   | 0, None -> ()
   | w, Some f ->
       if Dt_tensor.Tensor.size (Ad.value f) <> w then
-        invalid_arg "Model.predict: feature width mismatch"
-  | _, None -> invalid_arg "Model.predict: features required");
+        invalid_arg "Model.instr_stage: feature width mismatch"
+  | _, None -> invalid_arg "Model.instr_stage: features required");
   let instr_vectors =
     Array.to_list
       (Array.mapi
-         (fun i instr ->
-           let toks = Tokenizer.tokens instr in
-           let embedded =
-             List.map (Nn.Embedding.forward t.embedding ctx) toks
-           in
-           let h = Nn.Lstm.forward t.token_lstm ctx embedded in
+         (fun i h ->
            match params with
            | Some p ->
                let parts =
@@ -124,7 +136,7 @@ let predict t ctx (block : Dt_x86.Block.t) ~params ~features =
                in
                Ad.concat ctx parts
            | None -> h)
-         block.instrs)
+         instr_h)
   in
   let block_vec = Nn.Lstm.forward t.instr_lstm ctx instr_vectors in
   let head ctx x =
@@ -143,6 +155,9 @@ let predict t ctx (block : Dt_x86.Block.t) ~params ~features =
       (* Clamp the log-correction to [-4, 4] via tanh for stability. *)
       let corr = Ad.scale ctx (Ad.tanh_ ctx (Ad.scale ctx corr 0.25)) 4.0 in
       Ad.mul ctx base (Ad.exp_ ctx corr)
+
+let predict t ctx block ~params ~features =
+  instr_stage t ctx (token_stage t ctx block) ~params ~features
 
 (* ---- batched path ----
 
@@ -256,8 +271,8 @@ let forward_batch t ctx (samples : batch_sample array) =
   (* Instruction stage: blocks bucketed by instruction count, parameter
      vectors appended as one constant matrix per timestep (they are
      plain floats during surrogate training; parameter-table
-     optimization keeps the per-sequence path, where gradients flow into
-     the table). *)
+     optimization runs the per-sequence [instr_stage], where gradients
+     flow into the table). *)
   let per_w = if t.cfg.with_params then t.cfg.per_instr_params else 0 in
   let glob_w = if t.cfg.with_params then t.cfg.global_params else 0 in
   let pred_src = Array.make nb dummy_src in

@@ -60,17 +60,45 @@ type param_inputs = {
 (** [predict t ctx block ~params ~features] — the predicted timing node.
     [params] must be [Some] iff the config has [with_params]; [features]
     must be [Some] (a [feature_width] vector node of analytic bounds) iff
-    [feature_width > 0]. *)
+    [feature_width > 0].  It is exactly
+    [instr_stage t ctx (token_stage t ctx block) ~params ~features]. *)
 val predict :
   t -> Dt_autodiff.Ad.ctx -> Dt_x86.Block.t -> params:param_inputs option ->
   features:Dt_autodiff.Ad.node option -> Dt_autodiff.Ad.node
+
+(** The per-sequence forward runs in two stages, and the parameter
+    inputs join only in the second, so the first stage's output for a
+    block does not depend on them.
+
+    [token_stage t ctx block] — the token stage: the token LSTM's final
+    hidden state for each instruction of [block], in block order (one
+    [token_hidden] vector node per instruction). *)
+val token_stage :
+  t -> Dt_autodiff.Ad.ctx -> Dt_x86.Block.t -> Dt_autodiff.Ad.node array
+
+(** [instr_stage t ctx instr_h ~params ~features] — the instruction
+    stage: the parameter inputs are appended to each vector of
+    [instr_h], the instruction LSTM runs over them, and the head (with
+    the analytic bounds, if any) gives the predicted timing node.
+    [params] and [features] are checked as for {!predict}, with one
+    per-instruction parameter vector per element of [instr_h].  Fed
+    {!token_stage}'s values as {!Dt_autodiff.Ad.constant}s, it yields
+    {!predict}'s value and its gradients into [params] and [features]
+    bit for bit; gradients into the token LSTM and the embedding stop
+    there.  A frozen surrogate's table descent uses this: it computes
+    each block's token stage once and replays only this stage. *)
+val instr_stage :
+  t -> Dt_autodiff.Ad.ctx -> Dt_autodiff.Ad.node array ->
+  params:param_inputs option -> features:Dt_autodiff.Ad.node option ->
+  Dt_autodiff.Ad.node
 
 (* ---- batched path ---- *)
 
 (** One element of a batched forward: the block plus the plain-float
     parameter and feature vectors the per-sequence path would have fed
     as constants.  (Parameter-table optimization, where gradients flow
-    {e into} the parameters, keeps the per-sequence {!predict} path.) *)
+    {e into} the parameters, runs the per-sequence path instead: its
+    token stage once per block, then {!instr_stage} on every step.) *)
 type batch_sample = {
   bblock : Dt_x86.Block.t;
   bparams : (float array array * float array) option;

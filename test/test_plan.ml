@@ -465,6 +465,21 @@ let test_table_compiled_equals_interp () =
       ti.global
   in
   let oracle, _ = run ~compile:false 1 in
+  (* The oracle table, pinned bit for bit: MD5 over every entry's
+     IEEE-754 bits (the per rows in order, then the globals).  Nothing
+     else in [dune runtest] notices a learned table that moved.  After a
+     deliberate numeric change, re-record the digest: run this test and
+     copy the value the failure reports as received. *)
+  let bits_digest (t : Spec.table) =
+    let b = Buffer.create 8192 in
+    let add v = Buffer.add_int64_le b (bits v) in
+    Array.iter (Array.iter add) t.per;
+    Array.iter add t.global;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  Alcotest.(check string)
+    "oracle table digest" "6fcd96a3be60f8495b4bc064c4ce8f98"
+    (bits_digest oracle);
   let start, _ = run ~cfg:{ cfg with table_passes = 0.0 } ~compile:false 1 in
   Alcotest.(check bool) "descent moved the table" true (oracle <> start);
   let compiled, st = run ~compile:true 1 in

@@ -166,6 +166,139 @@ let test_gradients_reach_embeddings () =
   Alcotest.(check bool) "nonzero gradient somewhere" true
     (Dt_nn.Nn.Store.grad_norm (Model.store model) > 0.0)
 
+(* ---- the two stages ----
+
+   Table descent computes a block's token stage once and feeds its
+   vectors back as constants on every step.  That is only sound if the
+   instruction stage on those constants gives [predict]'s value and its
+   gradients into the parameter and feature nodes, bit for bit, both
+   interpreted and on a compiled replay. *)
+
+let bits = Int64.bits_of_float
+
+let check_bits name a b =
+  if not (Int64.equal (bits a) (bits b)) then
+    Alcotest.failf "%s: %h <> %h (bitwise)" name a b
+
+type split_case = {
+  cblock : Dt_x86.Block.t;
+  cper : float array array;
+  cglob : float array;
+  cfeat : float array option;
+}
+
+let split_cases (cfg : Model.config) rng n =
+  Array.init n (fun _ ->
+      let app = Rng.choice rng Dt_bhive.Generator.applications in
+      let b = Dt_bhive.Generator.block rng ~app in
+      let vec w lo hi = Array.init w (fun _ -> Rng.float_range rng lo hi) in
+      {
+        cblock = b;
+        cper = Array.map (fun _ -> vec cfg.per_instr_params 0.0 1.0) b.instrs;
+        cglob = vec cfg.global_params 0.0 1.0;
+        cfeat =
+          (if cfg.feature_width = 0 then None
+           else Some (vec cfg.feature_width 0.5 4.0));
+      })
+
+(* One forward + backward of [c]'s MAPE loss on [ctx], under a plan key
+   when [plans] is given: [predict] when [token_h] is [None], else the
+   instruction stage on [token_h] fed as constants.  Returns the
+   prediction and the gradients of every per-instruction parameter
+   node, the global node and the feature node. *)
+let split_run model ?plans ctx c ~token_h =
+  let inputs = ref None and prediction = ref None in
+  let trace ctx =
+    let const v = Ad.constant ctx (T.vector v) in
+    let per = Array.map const c.cper in
+    let global = const c.cglob in
+    let features = Option.map const c.cfeat in
+    inputs := Some (per, global, features);
+    let params = Some { Model.per_instr = per; global = Some global } in
+    let pred =
+      match token_h with
+      | None -> Model.predict model ctx c.cblock ~params ~features
+      | Some h ->
+          Model.instr_stage model ctx
+            (Array.map (Ad.constant ctx) h)
+            ~params ~features
+    in
+    prediction := Some pred;
+    Ad.mape ctx pred ~target:3.0
+  in
+  let loss =
+    match plans with
+    | None ->
+        Ad.reset ctx;
+        trace ctx
+    | Some (cache, key) -> Ad.with_plan cache ctx ~key ~grad:true ~warmup:2 trace
+  in
+  Ad.backward ctx loss;
+  let per, global, features = Option.get !inputs in
+  let grad n = T.to_array (Ad.grad n) in
+  ( Ad.scalar_value (Option.get !prediction),
+    Array.map grad per,
+    grad global,
+    Option.map grad features )
+
+let test_stages_bitwise cfg () =
+  let model = Model.create ~config:cfg (Rng.create 21) in
+  let cases = split_cases cfg (Rng.create 22) 12 in
+  let tctx = Ad.new_ctx () in
+  let encode c =
+    Ad.reset tctx;
+    Array.map
+      (fun h -> T.copy (Ad.value h))
+      (Model.token_stage model tctx c.cblock)
+  in
+  let check label (p0, per0, g0, f0) (p1, per1, g1, f1) =
+    check_bits (label ^ ": prediction") p0 p1;
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j v ->
+            check_bits (Printf.sprintf "%s: d per %d.%d" label i j) v
+              per1.(i).(j))
+          row)
+      per0;
+    Array.iteri
+      (fun j v -> check_bits (Printf.sprintf "%s: d global %d" label j) v g1.(j))
+      g0;
+    match (f0, f1) with
+    | None, None -> ()
+    | Some f0, Some f1 ->
+        Array.iteri
+          (fun j v ->
+            check_bits (Printf.sprintf "%s: d feature %d" label j) v f1.(j))
+          f0
+    | _ -> Alcotest.fail (label ^ ": feature node mismatch")
+  in
+  Array.iteri
+    (fun k c ->
+      let token_h = encode c in
+      Alcotest.(check int) "one vector per instruction"
+        (Array.length c.cblock.instrs) (Array.length token_h);
+      let ctx = Ad.new_ctx () in
+      let oracle = split_run model ctx c ~token_h:None in
+      check (Printf.sprintf "block %d interpreted" k) oracle
+        (split_run model ctx c ~token_h:(Some token_h));
+      (* The third call under one key replays the plan the first two
+         recorded. *)
+      let replay ~token_h =
+        let plans = (Ad.plan_cache (), "k") in
+        ignore (split_run model ~plans ctx c ~token_h);
+        ignore (split_run model ~plans ctx c ~token_h);
+        split_run model ~plans ctx c ~token_h
+      in
+      let s0 = Ad.plan_stats () in
+      check (Printf.sprintf "block %d replayed predict" k) oracle
+        (replay ~token_h:None);
+      check (Printf.sprintf "block %d replayed stages" k) oracle
+        (replay ~token_h:(Some token_h));
+      Alcotest.(check int) "both third calls replayed" 2
+        ((Ad.plan_stats ()).plan_replays - s0.plan_replays))
+    cases
+
 let () =
   Alcotest.run "surrogate"
     [
@@ -194,5 +327,13 @@ let () =
           Alcotest.test_case "depends on params" `Quick
             test_prediction_depends_on_params;
           Alcotest.test_case "gradients flow" `Quick test_gradients_reach_embeddings;
+        ] );
+      ( "stages",
+        [
+          Alcotest.test_case "bitwise, mca_full shape" `Quick
+            (test_stages_bitwise
+               { Model.default_config with feature_width = 3 });
+          Alcotest.test_case "bitwise, no features" `Quick
+            (test_stages_bitwise Model.default_config);
         ] );
     ]
