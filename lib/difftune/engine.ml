@@ -297,6 +297,12 @@ let eligible_blocks config blocks =
     blocks;
   Array.of_list (List.rev !acc)
 
+let eligible_labeled config train =
+  Array.of_list
+    (List.filter
+       (fun (b, _) -> Dt_x86.Block.length b <= config.max_train_block_len)
+       train)
+
 let dataset_fp config (spec : Spec.t) ~sampling ~eligible =
   Printf.sprintf "dataset|%s|seed=%d|mult=%d|eligible=%d|sampling=%s" spec.name
     config.seed config.sim_multiplier eligible (sampling_tag sampling)
@@ -314,24 +320,32 @@ let dec_sample d =
   let target = Dec.float d in
   { block_idx; per; global; target }
 
-let make_model config (spec : Spec.t) rng =
-  let mcfg =
-    {
-      Model.embed_dim = config.embed_dim;
-      token_hidden = config.token_hidden;
-      instr_hidden = config.instr_hidden;
-      token_layers = config.token_layers;
-      instr_layers = config.instr_layers;
-      with_params = true;
-      per_instr_params = spec.per_width;
-      global_params = spec.global_width;
-      feature_width =
-        (if config.use_analytic && spec.bounds <> None then Spec.n_bounds
-         else 0);
-      head_hidden = config.head_hidden;
-    }
+(* The surrogate's shape under [config]: [params] is the spec whose
+   table the model reads ([None] for the Ithemal baseline), and the
+   analytic features are used only under [use_analytic]. *)
+let model_config config ~(params : Spec.t option) ~feature_width =
+  let per, global =
+    match params with Some s -> (s.per_width, s.global_width) | None -> (0, 0)
   in
-  Model.create ~config:mcfg rng
+  {
+    Model.embed_dim = config.embed_dim;
+    token_hidden = config.token_hidden;
+    instr_hidden = config.instr_hidden;
+    token_layers = config.token_layers;
+    instr_layers = config.instr_layers;
+    with_params = params <> None;
+    per_instr_params = per;
+    global_params = global;
+    feature_width = (if config.use_analytic then feature_width else 0);
+    head_hidden = config.head_hidden;
+  }
+
+let spec_model_config config (spec : Spec.t) =
+  model_config config ~params:(Some spec)
+    ~feature_width:(if spec.bounds <> None then Spec.n_bounds else 0)
+
+let make_model config spec rng =
+  Model.create ~config:(spec_model_config config spec) rng
 
 (* A structural copy of [model] with the same parameter values; its store
    can be reduced back into the original's via [Store.accum_grads]. *)
@@ -343,19 +357,12 @@ let replicate model =
 (* ---- batched surrogate training helpers ----
 
    Each shard trains on length-bucketed minibatches: its schedule slice
-   is grouped by the power-of-two bucket of the block length (the same
-   bucketing policy the model uses internally for sequence packing) and
-   every bucket becomes one [Model.train_batch] call.  Bucketing is by
-   sorted unique key with first-appearance order inside a bucket, so the
-   grouping depends only on the schedule — never on domain count or
-   hash-table iteration order. *)
-
-let bucket_len n =
-  let b = ref 1 in
-  while !b < n do
-    b := !b * 2
-  done;
-  !b
+   is grouped by [Model.bucket_len] of the block length (the bucketing
+   the model uses for sequence packing) and every bucket becomes one
+   [Model.train_batch] call.  Bucketing is by sorted unique key with
+   first-appearance order inside a bucket, so the grouping depends only
+   on the schedule — never on domain count or hash-table iteration
+   order. *)
 
 let train_shard_batched model ctx (spec : Spec.t) blocks
     (data : sim_sample array) sched losses ~lo ~hi =
@@ -364,7 +371,7 @@ let train_shard_batched model ctx (spec : Spec.t) blocks
     let steps = Array.init (hi - lo) (fun i -> lo + i) in
     let key step =
       let s = data.(sched.(step)) in
-      bucket_len (Dt_x86.Block.length blocks.(s.block_idx))
+      Model.bucket_len (Dt_x86.Block.length blocks.(s.block_idx))
     in
     let keys = List.sort_uniq compare (Array.to_list (Array.map key steps)) in
     List.iter
@@ -423,24 +430,20 @@ let alloc_floor_frac = 0.2
 (* Pilot fits use a deliberately tiny surrogate: complexity ranking
    only needs relative loss-curve shapes, and the pilot must stay a
    rounding error next to the main collection + training bill. *)
-let make_pilot_model config (spec : Spec.t) =
-  let mcfg =
-    {
-      Model.embed_dim = min config.embed_dim 8;
-      token_hidden = min config.token_hidden 12;
-      instr_hidden = min config.instr_hidden 12;
-      token_layers = 1;
-      instr_layers = 1;
-      with_params = true;
-      per_instr_params = spec.per_width;
-      global_params = spec.global_width;
-      feature_width =
-        (if config.use_analytic && spec.bounds <> None then Spec.n_bounds
-         else 0);
-      head_hidden = min config.head_hidden 8;
-    }
-  in
-  Model.create ~config:mcfg (Rng.create (config.seed lxor 0x9110_7))
+let make_pilot_model config spec =
+  let c = spec_model_config config spec in
+  Model.create
+    ~config:
+      {
+        c with
+        embed_dim = min c.embed_dim 8;
+        token_hidden = min c.token_hidden 12;
+        instr_hidden = min c.instr_hidden 12;
+        token_layers = 1;
+        instr_layers = 1;
+        head_hidden = min c.head_hidden 8;
+      }
+    (Rng.create (config.seed lxor 0x9110_7))
 
 (* [pilot_fit] — a few full-batch epochs of a fresh pilot model over one
    stratum's pilot rows (through the same bucketed batched trainer the
@@ -681,61 +684,64 @@ let make_schedule rng ~n ~steps =
 let shard_range ~lo ~size k =
   (lo + (k * size / n_shards), lo + ((k + 1) * size / n_shards))
 
-(* The [bucketed] tag versions the fingerprint: batched minibatches sum
-   per-sample gradients in a different floating-point order than the old
-   per-sequence loop, so a mid-phase checkpoint from either path must
-   not resume into the other. *)
-let surrogate_fp config (spec : Spec.t) ~n ~params =
-  Printf.sprintf
-    "surrogate|%s|seed=%d|n=%d|passes=%g|lr=%g|batch=%d|params=%d|bucketed"
-    spec.name config.seed n config.surrogate_passes config.surrogate_lr
-    config.batch params
-
-(* Decoded surrogate checkpoint: either the completed phase or a
-   mid-phase snapshot. *)
-let dec_surrogate_state d =
+(* A phase checkpoint holds either a mid-phase snapshot (tag 0) or the
+   completed phase's payload (tag 1). *)
+let dec_phase_state ~name dec_done d =
   match Dec.int d with
   | 0 -> `At (dec_snapshot d)
-  | 1 ->
-      let weights = dec_weights d in
-      let loss = Dec.float d in
-      `Done (weights, loss)
-  | n -> raise (Dec.Corrupt (Printf.sprintf "bad surrogate phase tag %d" n))
+  | 1 -> `Done (dec_done d)
+  | n -> raise (Dec.Corrupt (Printf.sprintf "bad %s phase tag %d" name n))
 
-let train_surrogate ?checkpoint_dir ?health config spec model
-    (data : sim_sample array) blocks =
-  let health = match health with Some h -> h | None -> Fault.create_health () in
-  let rng = Rng.create (config.seed lxor 0x5e_ed) in
-  let store = Model.store model in
-  let opt = Nn.Optimizer.adam store ~lr:config.surrogate_lr in
-  let n = Array.length data in
-  let steps = int_of_float (config.surrogate_passes *. float_of_int n) in
-  let fp = surrogate_fp config spec ~n ~params:(Nn.Store.size store) in
+(* ---- one learning phase (DESIGN.md §6b) ----
+
+   Surrogate training (Equation 2) and table descent (Equation 3) are
+   the same minibatch Adam loop over different parameters, and both
+   survive faults the same way; [run_phase] is that loop.  It resumes
+   from the phase checkpoint [name] (or returns the completed phase's
+   payload outright), runs [steps] scheduled steps over a population
+   of [n] in minibatches of [batch], keeps two good snapshots, rolls a
+   bad minibatch back with a learning-rate backoff, writes a
+   checkpoint every [steps / checkpoint_segments] steps, and finally
+   records the payload [finish] builds from the mean training loss.
+
+   The caller passes what differs: [prepare] builds, on the pool, the
+   function that fills [losses] for one minibatch and accumulates its
+   gradients into [store]; [clip] bounds the gradient norm per sample;
+   [drop_lr_at] cuts the rate to 0.3x once a batch passes that step;
+   [after_step] runs after each optimizer step; [best] is the
+   validation pick the snapshots carry; [restored] installs a
+   completed payload read back from disk. *)
+let run_phase ?checkpoint_dir ?(health = Fault.create_health ()) ~log ~name
+    ~fault_phase ~fp ~rng ~n ~steps ~batch ~store ~lr ?clip ?drop_lr_at
+    ?(after_step = fun ~b0:_ ~bsize:_ -> ()) ?(best = ref None)
+    ?(restored = ignore) ~prepare ~finish ~enc_done ~dec_done () =
   let resume =
     match checkpoint_dir with
     | None -> Fresh
     | Some dir ->
-        try_load ~dir ~name:"surrogate" ~fp ~health ~log:config.log
-          dec_surrogate_state
+        try_load ~dir ~name ~fp ~health ~log (dec_phase_state ~name dec_done)
+  in
+  let save_state tag write =
+    match checkpoint_dir with
+    | None -> ()
+    | Some dir ->
+        save_ckpt ~dir ~name ~fp (fun b ->
+            Enc.int b tag;
+            write b)
   in
   match resume with
-  | Loaded (`Done (weights, loss)) ->
-      Nn.Store.import_values store weights;
+  | Loaded (`Done v) ->
+      restored v;
       health.skipped_phases <- health.skipped_phases + 1;
-      config.log
-        (Printf.sprintf "surrogate phase restored from checkpoint (loss %.4f)"
-           loss);
-      loss
+      log (Printf.sprintf "%s phase restored from checkpoint" name);
+      v
   | (Fresh | Loaded (`At _)) as resume ->
+      let opt = Nn.Optimizer.adam store ~lr in
       let sched = make_schedule rng ~n ~steps in
       let losses = Array.make (max steps 1) 0.0 in
-      let replicas = Array.init n_shards (fun _ -> replicate model) in
-      let ctxs = Array.init n_shards (fun _ -> Ad.new_ctx ()) in
       let running = Welford.create () in
-      let last_avg = ref Float.nan in
-      let lr_drop_step = 2 * steps / 3 in
+      let base_lr = ref lr in
       let lr_dropped = ref false in
-      let base_lr = ref config.surrogate_lr in
       let cursor = ref 0 in
       let backoffs = ref 0 in
       let set_effective_lr () =
@@ -750,7 +756,7 @@ let train_surrogate ?checkpoint_dir ?health config spec model
           ts_lr = !base_lr;
           ts_lr_dropped = !lr_dropped;
           ts_welford = Welford.state running;
-          ts_best = None;
+          ts_best = !best;
           ts_rng = Rng.state rng;
         }
       in
@@ -761,22 +767,20 @@ let train_surrogate ?checkpoint_dir ?health config spec model
         cursor := s.ts_cursor;
         base_lr := s.ts_lr;
         lr_dropped := s.ts_lr_dropped;
-        set_effective_lr ();
-        Array.iter
-          (fun m -> Nn.Store.copy_values ~src:store ~dst:(Model.store m))
-          replicas
+        best := s.ts_best;
+        set_effective_lr ()
       in
       (match resume with
       | Loaded (`At snap) when snap.ts_rng <> Rng.state rng ->
           (* The stored stream position disagrees with the rebuilt
              schedule: written by incompatible scheduling code. *)
           health.bad_checkpoints <- health.bad_checkpoints + 1;
-          config.log "ignoring checkpoint: RNG stream mismatch"
+          log "ignoring checkpoint: RNG stream mismatch"
       | Loaded (`At snap) ->
           restore_snapshot snap;
           health.resumed_steps <- health.resumed_steps + snap.ts_cursor;
-          config.log
-            (Printf.sprintf "surrogate phase resumed at step %d/%d"
+          log
+            (Printf.sprintf "%s phase resumed at step %d/%d" name
                snap.ts_cursor steps)
       | _ -> ());
       let good = ref (take_snapshot ()) in
@@ -788,91 +792,131 @@ let train_surrogate ?checkpoint_dir ?health config spec model
         if !backoffs >= max_backoffs then
           Fault.error
             (Fault.Numeric_divergence
-               {
-                 phase = Fault.Surrogate;
-                 step = b0;
-                 retries = !backoffs;
-                 detail;
-               });
+               { phase = fault_phase; step = b0; retries = !backoffs; detail });
         (* A snapshot taken at the failing batch replays the identical
            forward pass; fall back to the previous one so the replayed
-           optimizer steps (at the reduced rate) change the weights the
-           bad batch sees. *)
+           optimizer steps (at the reduced rate) change the parameters
+           the bad batch sees.  The rate that failed is the one halved:
+           the target's own rate would replay a repeat failure at the
+           same rate, bit for bit. *)
+        let lr = !base_lr *. backoff_factor in
         let target = if (!good).ts_cursor < b0 then !good else !prev_good in
         good := target;
         prev_good := target;
         restore_snapshot target;
-        base_lr := !base_lr *. backoff_factor;
+        base_lr := lr;
         set_effective_lr ();
         incr backoffs;
         health.rollbacks <- health.rollbacks + 1;
         health.lr_backoffs <- health.lr_backoffs + 1;
-        config.log
+        log
           (Printf.sprintf
-             "surrogate: %s at step %d; rolled back to step %d, lr -> %g \
-              (retry %d/%d)"
-             detail b0 target.ts_cursor (Nn.Optimizer.get_lr opt) !backoffs
-             max_backoffs)
+             "%s: %s at step %d; rolled back to step %d, lr -> %g (retry \
+              %d/%d)"
+             name detail b0 target.ts_cursor (Nn.Optimizer.get_lr opt)
+             !backoffs max_backoffs)
       in
       with_pool (fun pool ->
+          let grads = prepare pool ~sched ~losses in
           while !cursor < steps do
             let b0 = !cursor in
-            let bsize = min config.batch (steps - b0) in
-            Pool.run pool n_shards (fun k ->
-                let lo, hi = shard_range ~lo:b0 ~size:bsize k in
-                train_shard_batched replicas.(k) ctxs.(k) spec blocks data
-                  sched losses ~lo ~hi);
-            Array.iter
-              (fun m ->
-                let rs = Model.store m in
-                Nn.Store.accum_grads ~src:rs ~dst:store;
-                Nn.Store.zero_grads rs)
-              replicas;
+            let bsize = min batch (steps - b0) in
+            grads ~b0 ~bsize;
             if Faultsim.fire "grad.nan" then poison_grads store;
             match batch_problem losses ~b0 ~bsize ~running store with
             | Some detail -> rollback ~b0 detail
             | None ->
-                Nn.Store.clip_grads store
-                  ~max_norm:(config.grad_clip *. float_of_int bsize);
-                if (not !lr_dropped) && lr_drop_step < b0 + bsize then begin
-                  lr_dropped := true;
-                  set_effective_lr ()
-                end;
+                Option.iter
+                  (fun c ->
+                    Nn.Store.clip_grads store
+                      ~max_norm:(c *. float_of_int bsize))
+                  clip;
+                (match drop_lr_at with
+                | Some s when (not !lr_dropped) && s < b0 + bsize ->
+                    lr_dropped := true;
+                    set_effective_lr ()
+                | _ -> ());
                 Nn.Optimizer.step opt ~batch:bsize;
-                Array.iter
-                  (fun m ->
-                    Nn.Store.copy_values ~src:store ~dst:(Model.store m))
-                  replicas;
+                after_step ~b0 ~bsize;
                 for step = b0 to b0 + bsize - 1 do
-                  Welford.add running losses.(step);
-                  if (step + 1) mod 2000 = 0 then begin
-                    last_avg := Welford.mean running;
-                    config.log
-                      (Printf.sprintf "surrogate step %d/%d loss %.3f"
-                         (step + 1) steps !last_avg)
-                  end
+                  Welford.add running losses.(step)
                 done;
+                if (b0 + bsize) / 2000 > b0 / 2000 then
+                  log
+                    (Printf.sprintf "%s step %d/%d loss %.3f" name (b0 + bsize)
+                       steps (Welford.mean running));
                 cursor := b0 + bsize;
                 prev_good := !good;
                 good := take_snapshot ();
-                (match checkpoint_dir with
-                | Some dir when (b0 + bsize) / ckpt_every > b0 / ckpt_every ->
-                    save_ckpt ~dir ~name:"surrogate" ~fp (fun b ->
-                        Enc.int b 0;
-                        enc_snapshot b !good)
-                | _ -> ())
+                if (b0 + bsize) / ckpt_every > b0 / ckpt_every then
+                  save_state 0 (fun b -> enc_snapshot b !good)
           done);
-      let loss =
-        if Welford.count running > 0 then Welford.mean running else Float.nan
+      let v =
+        finish
+          ~loss:
+            (if Welford.count running > 0 then Welford.mean running
+             else Float.nan)
       in
-      (match checkpoint_dir with
-      | None -> ()
-      | Some dir ->
-          save_ckpt ~dir ~name:"surrogate" ~fp (fun b ->
-              Enc.int b 1;
-              enc_weights b (Nn.Store.export_values store);
-              Enc.float b loss));
-      loss
+      save_state 1 (fun b -> enc_done b v);
+      v
+
+(* The [bucketed] tag versions the fingerprint: batched minibatches sum
+   per-sample gradients in a different floating-point order than the old
+   per-sequence loop, so a mid-phase checkpoint from either path must
+   not resume into the other. *)
+let surrogate_fp config (spec : Spec.t) ~n ~params =
+  Printf.sprintf
+    "surrogate|%s|seed=%d|n=%d|passes=%g|lr=%g|batch=%d|params=%d|bucketed"
+    spec.name config.seed n config.surrogate_passes config.surrogate_lr
+    config.batch params
+
+(* The completed surrogate phase's payload: its weights and mean loss. *)
+let enc_surrogate_done b (weights, loss) =
+  enc_weights b weights;
+  Enc.float b loss
+
+let dec_surrogate_done d =
+  let weights = dec_weights d in
+  let loss = Dec.float d in
+  (weights, loss)
+
+let train_surrogate ?checkpoint_dir ?health config spec model
+    (data : sim_sample array) blocks =
+  let store = Model.store model in
+  let n = Array.length data in
+  let steps = int_of_float (config.surrogate_passes *. float_of_int n) in
+  (* Each shard trains on its own replica, refreshed from [store] at the
+     start of every minibatch; the replicas' sums are reduced into
+     [store] in shard order. *)
+  let prepare pool ~sched ~losses =
+    let replicas = Array.init n_shards (fun _ -> replicate model) in
+    let ctxs = Array.init n_shards (fun _ -> Ad.new_ctx ()) in
+    fun ~b0 ~bsize ->
+      Array.iter
+        (fun m -> Nn.Store.copy_values ~src:store ~dst:(Model.store m))
+        replicas;
+      Pool.run pool n_shards (fun k ->
+          let lo, hi = shard_range ~lo:b0 ~size:bsize k in
+          train_shard_batched replicas.(k) ctxs.(k) spec blocks data sched
+            losses ~lo ~hi);
+      Array.iter
+        (fun m ->
+          let rs = Model.store m in
+          Nn.Store.accum_grads ~src:rs ~dst:store;
+          Nn.Store.zero_grads rs)
+        replicas
+  in
+  snd
+    (run_phase ?checkpoint_dir ?health ~log:config.log ~name:"surrogate"
+       ~fault_phase:Fault.Surrogate
+       ~fp:(surrogate_fp config spec ~n ~params:(Nn.Store.size store))
+       ~rng:(Rng.create (config.seed lxor 0x5e_ed))
+       ~n ~steps ~batch:config.batch ~store ~lr:config.surrogate_lr
+       ~clip:config.grad_clip ~drop_lr_at:(2 * steps / 3)
+       ~restored:(fun (weights, _) -> Nn.Store.import_values store weights)
+       ~prepare
+       ~finish:(fun ~loss -> (Nn.Store.export_values store, loss))
+       ~enc_done:enc_surrogate_done ~dec_done:dec_surrogate_done ())
 
 (* Extract the current relaxed table into raw integer space. *)
 let extract_table (spec : Spec.t) theta_per theta_global =
@@ -920,15 +964,8 @@ let table_fp config (spec : Spec.t) ~n ~init ~n_valid =
     spec.name config.seed n config.table_passes config.table_lr
     config.table_batch (table_digest init) n_valid
 
-let dec_table_state d =
-  match Dec.int d with
-  | 0 -> `At (dec_snapshot d)
-  | 1 -> `Done (dec_table d)
-  | n -> raise (Dec.Corrupt (Printf.sprintf "bad table phase tag %d" n))
-
 let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
     (spec : Spec.t) model ~train =
-  let health = match health with Some h -> h | None -> Fault.create_health () in
   let rng = Rng.create (config.seed lxor 0x7ab1e) in
   (* Initialize the relaxed table in offset space (value - lower bound):
      a random draw from the sampling distribution, per the paper, unless
@@ -952,7 +989,6 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
     (store, theta_per, theta_global, pnode, gnode)
   in
   let theta_store, theta_per, theta_global, _, _ = make_theta () in
-  let opt = Nn.Optimizer.adam theta_store ~lr:config.table_lr in
   let per_scale = T.vector (Array.copy spec.per_scale) in
   let global_scale =
     (* Specs without globals (e.g. write-latency-only) have an empty
@@ -960,12 +996,7 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
     if spec.global_width = 0 then T.scalar 0.0
     else T.vector (Array.copy spec.global_scale)
   in
-  let eligible =
-    Array.of_list
-      (List.filter
-         (fun (b, _) -> Dt_x86.Block.length b <= config.max_train_block_len)
-         (Array.to_list train))
-  in
+  let eligible = eligible_labeled config (Array.to_list train) in
   let n = Array.length eligible in
   if n = 0 then
     Fault.error
@@ -978,273 +1009,171 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
          });
   let steps = int_of_float (config.table_passes *. float_of_int n) in
   let fp = table_fp config spec ~n ~init ~n_valid:(Array.length valid) in
-  let resume =
-    match checkpoint_dir with
-    | None -> Fresh
-    | Some dir ->
-        try_load ~dir ~name:"table" ~fp ~health ~log:config.log dec_table_state
+  (* Validation-gated extraction: periodically extract the integer table
+     and keep the snapshot with the lowest true-simulator error on the
+     validation split (the split the paper reserves for development
+     decisions).  Gradient descent through an imperfect surrogate can
+     wander; selection on the *original* simulator is cheap and unbiased
+     with respect to the test set. *)
+  let valid =
+    if Array.length valid > 256 then Array.sub valid 0 256 else valid
   in
-  match resume with
-  | Loaded (`Done table) ->
-      health.skipped_phases <- health.skipped_phases + 1;
-      config.log "table phase restored from checkpoint";
-      table
-  | (Fresh | Loaded (`At _)) as resume ->
-      let sched = make_schedule rng ~n ~steps in
-      let losses = Array.make (max steps 1) 0.0 in
-      (* Validation-gated extraction: periodically extract the integer table
-         and keep the snapshot with the lowest true-simulator error on the
-         validation split (the split the paper reserves for development
-         decisions).  Gradient descent through an imperfect surrogate can
-         wander; selection on the *original* simulator is cheap and unbiased
-         with respect to the test set. *)
-      let valid =
-        if Array.length valid > 256 then Array.sub valid 0 256 else valid
-      in
-      let best_table = ref None in
-      let consider () =
-        if Array.length valid > 0 then begin
-          let candidate = extract_table spec theta_per theta_global in
-          let err = validation_error spec candidate valid in
-          match !best_table with
-          | Some (_, best_err) when best_err <= err -> ()
-          | _ -> best_table := Some (candidate, err)
-        end
-      in
-      let snapshot_every = max 500 (steps / 12) in
-      let running = Welford.create () in
-      let base_lr = ref config.table_lr in
-      let cursor = ref 0 in
-      let backoffs = ref 0 in
-      let take_snapshot () =
-        {
-          ts_cursor = !cursor;
-          ts_weights = Nn.Store.export_values theta_store;
-          ts_opt = Nn.Optimizer.export_state opt;
-          ts_lr = !base_lr;
-          ts_lr_dropped = false;
-          ts_welford = Welford.state running;
-          ts_best = !best_table;
-          ts_rng = Rng.state rng;
-        }
-      in
-      let restore_snapshot s =
-        Nn.Store.import_values theta_store s.ts_weights;
-        Nn.Optimizer.import_state opt s.ts_opt;
-        Welford.restore running s.ts_welford;
-        cursor := s.ts_cursor;
-        base_lr := s.ts_lr;
-        best_table := s.ts_best;
-        Nn.Optimizer.set_lr opt !base_lr
-      in
-      (match resume with
-      | Loaded (`At snap) when snap.ts_rng <> Rng.state rng ->
-          health.bad_checkpoints <- health.bad_checkpoints + 1;
-          config.log "ignoring checkpoint: RNG stream mismatch"
-      | Loaded (`At snap) ->
-          restore_snapshot snap;
-          health.resumed_steps <- health.resumed_steps + snap.ts_cursor;
-          config.log
-            (Printf.sprintf "table phase resumed at step %d/%d" snap.ts_cursor
-               steps)
-      | _ -> ());
-      let good = ref (take_snapshot ()) in
-      let prev_good = ref !good in
-      let ckpt_every = max 1 (steps / checkpoint_segments) in
-      let rollback ~b0 detail =
-        health.nan_batches <- health.nan_batches + 1;
-        Nn.Store.zero_grads theta_store;
-        if !backoffs >= max_backoffs then
-          Fault.error
-            (Fault.Numeric_divergence
-               { phase = Fault.Table; step = b0; retries = !backoffs; detail });
-        let target = if (!good).ts_cursor < b0 then !good else !prev_good in
-        good := target;
-        prev_good := target;
-        restore_snapshot target;
-        base_lr := !base_lr *. backoff_factor;
-        Nn.Optimizer.set_lr opt !base_lr;
-        incr backoffs;
-        health.rollbacks <- health.rollbacks + 1;
-        health.lr_backoffs <- health.lr_backoffs + 1;
-        config.log
-          (Printf.sprintf
-             "table: %s at step %d; rolled back to step %d, lr -> %g (retry \
-              %d/%d)"
-             detail b0 target.ts_cursor !base_lr !backoffs max_backoffs)
-      in
-      (* A shard sums its steps' theta gradients from zero on its lane's
-         replica and leaves the sum in its own slot, so the reduction
-         below runs in shard-index order whichever lane ran the shard:
-         every float is the same at any pool size. *)
-      let slots =
-        Array.init n_shards (fun _ ->
-            let slot, _, _, _, _ = make_theta () in
-            slot)
-      in
-      (* The frozen surrogate's token stage, once per eligible block:
-         [token_h.(i)] holds block i's per-instruction token vectors. *)
-      let token_h = Array.make n [||] in
-      let shard_task r slot lo hi =
-        let ctx = r.tctx in
-        Nn.Store.zero_grads r.tstore;
-        for step = lo to hi - 1 do
-          let bi = sched.(step) in
-          let block, y = eligible.(bi) in
-          (* A block recurs across passes and epochs, and its trace is
-             fixed (the theta leaves change values, not structure), so
-             each step replays its block's compiled plan; the theta
-             gradients it accumulates are bitwise those of the
-             interpreted tape. *)
-          let loss =
-            Ad.with_plan r.tplans ctx
-              ~key:("tbl|" ^ spec.name ^ "|" ^ Dt_x86.Block.to_string block)
-              ~grad:true ~warmup:2
-              (fun ctx ->
-                let scale_node v = Ad.constant ctx v in
-                let per_inputs =
-                  Array.map
-                    (fun (instr : Dt_x86.Instruction.t) ->
-                      let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
-                      let row = Ad.abs_ ctx row in
-                      let row =
-                        if spec.per_width = T.size (Ad.value row) then row
-                        else Ad.slice ctx row ~pos:0 ~len:spec.per_width
-                      in
-                      Ad.mul ctx row (scale_node per_scale))
-                    block.instrs
-                in
-                let global_input =
-                  if spec.global_width = 0 then None
-                  else
-                    let gview = Ad.row ctx ~m:r.gnode 0 in
-                    let g = Ad.abs_ ctx gview in
-                    Some (Ad.mul ctx g (scale_node global_scale))
-                in
-                let params =
-                  { Model.per_instr = per_inputs; global = global_input }
-                in
-                let features =
-                  if (Model.config r.smodel).feature_width = 0 then None
-                  else
-                    match spec.bounds with
-                    | Some f ->
-                        Some (f ctx block ~per:per_inputs ~global:global_input)
-                    | None -> None
-                in
-                let pred =
-                  Model.instr_stage r.smodel ctx
-                    (Array.map (Ad.constant ctx) token_h.(bi))
-                    ~params:(Some params) ~features
-                in
-                Ad.mape ctx pred ~target:(Float.max y 1e-3))
-          in
-          Ad.backward ctx loss;
-          losses.(step) <- Ad.scalar_value loss
-        done;
-        Nn.Store.copy_grads ~src:r.tstore ~dst:slot
-      in
-      with_pool (fun pool ->
-          let lanes =
-            Array.init (Pool.size pool) (fun _ ->
-                let tstore, _, _, pnode, gnode = make_theta () in
-                {
-                  tstore;
-                  pnode;
-                  gnode;
-                  smodel = replicate model;
-                  tctx = Ad.new_ctx ();
-                  tplans = Ad.plan_cache ~capacity:64 ();
-                })
-          in
-          (* Each block's vectors depend only on the block and the
-             frozen weights, so any split over the lanes gives the same
-             bits. *)
-          Pool.run_lanes pool n_shards (fun ~lane k ->
-              let r = lanes.(lane) in
-              let lo, hi = shard_range ~lo:0 ~size:n k in
-              for bi = lo to hi - 1 do
-                Ad.reset r.tctx;
-                token_h.(bi) <-
-                  Array.map
-                    (fun h -> T.copy (Ad.value h))
-                    (Model.token_stage r.smodel r.tctx (fst eligible.(bi)))
-              done);
-          while !cursor < steps do
-            let b0 = !cursor in
-            let bsize = min config.table_batch (steps - b0) in
-            Array.iter
-              (fun r -> Nn.Store.copy_values ~src:theta_store ~dst:r.tstore)
-              lanes;
-            Pool.run_lanes pool n_shards (fun ~lane k ->
-                let lo, hi = shard_range ~lo:b0 ~size:bsize k in
-                shard_task lanes.(lane) slots.(k) lo hi);
-            Array.iter
-              (fun slot -> Nn.Store.accum_grads ~src:slot ~dst:theta_store)
-              slots;
-            (* The surrogate is frozen: the gradients its instruction
-               stage accumulated are simply discarded. *)
-            Array.iter
-              (fun r -> Nn.Store.zero_grads (Model.store r.smodel))
-              lanes;
-            if Faultsim.fire "grad.nan" then poison_grads theta_store;
-            match batch_problem losses ~b0 ~bsize ~running theta_store with
-            | Some detail -> rollback ~b0 detail
-            | None ->
-                Nn.Optimizer.step opt ~batch:bsize;
-                (* Keep |theta| inside the sampling distribution's support: the
-                   surrogate cannot be trusted to extrapolate outside the region
-                   it was trained on (paper Section VII, "Sampling
-                   distributions"). *)
-                for i = 0 to n_opc - 1 do
-                  for j = 0 to spec.per_width - 1 do
-                    let hi = spec.per_upper.(j) -. spec.per_lower.(j) in
-                    let v = T.get theta_per i j in
-                    if Float.abs v > hi then
-                      T.set theta_per i j (if v < 0.0 then -.hi else hi)
-                  done
-                done;
-                for j = 0 to spec.global_width - 1 do
-                  let hi = spec.global_upper.(j) -. spec.global_lower.(j) in
-                  let v = T.get theta_global 0 j in
-                  if Float.abs v > hi then
-                    T.set theta_global 0 j (if v < 0.0 then -.hi else hi)
-                done;
-                for step = b0 to b0 + bsize - 1 do
-                  Welford.add running losses.(step)
-                done;
-                if (b0 + bsize) / snapshot_every > b0 / snapshot_every then
-                  consider ();
-                if (b0 + bsize) / 2000 > b0 / 2000 then
-                  config.log
-                    (Printf.sprintf "table step %d/%d" (b0 + bsize) steps);
-                cursor := b0 + bsize;
-                prev_good := !good;
-                good := take_snapshot ();
-                (match checkpoint_dir with
-                | Some dir when (b0 + bsize) / ckpt_every > b0 / ckpt_every ->
-                    save_ckpt ~dir ~name:"table" ~fp (fun b ->
-                        Enc.int b 0;
-                        enc_snapshot b !good)
-                | _ -> ())
-          done);
-      (* Extraction: |theta| + lower bound, rounded; prefer the best
-         validation snapshot when a validation split was provided. *)
-      let final = extract_table spec theta_per theta_global in
-      let chosen =
-        match !best_table with
-        | None -> final
-        | Some (best, best_err) ->
-            let final_err = validation_error spec final valid in
-            if final_err <= best_err then final else best
-      in
-      (match checkpoint_dir with
-      | None -> ()
-      | Some dir ->
-          save_ckpt ~dir ~name:"table" ~fp (fun b ->
-              Enc.int b 1;
-              enc_table b chosen));
-      chosen
+  let best_table = ref None in
+  let consider () =
+    if Array.length valid > 0 then begin
+      let candidate = extract_table spec theta_per theta_global in
+      let err = validation_error spec candidate valid in
+      match !best_table with
+      | Some (_, best_err) when best_err <= err -> ()
+      | _ -> best_table := Some (candidate, err)
+    end
+  in
+  let snapshot_every = max 500 (steps / 12) in
+  let after_step ~b0 ~bsize =
+    (* Keep |theta| inside the sampling distribution's support: the
+       surrogate cannot be trusted to extrapolate outside the region
+       it was trained on (paper Section VII, "Sampling
+       distributions"). *)
+    for i = 0 to n_opc - 1 do
+      for j = 0 to spec.per_width - 1 do
+        let hi = spec.per_upper.(j) -. spec.per_lower.(j) in
+        let v = T.get theta_per i j in
+        if Float.abs v > hi then
+          T.set theta_per i j (if v < 0.0 then -.hi else hi)
+      done
+    done;
+    for j = 0 to spec.global_width - 1 do
+      let hi = spec.global_upper.(j) -. spec.global_lower.(j) in
+      let v = T.get theta_global 0 j in
+      if Float.abs v > hi then
+        T.set theta_global 0 j (if v < 0.0 then -.hi else hi)
+    done;
+    if (b0 + bsize) / snapshot_every > b0 / snapshot_every then consider ()
+  in
+  let prepare pool ~sched ~losses =
+    (* A shard sums its steps' theta gradients from zero on its lane's
+       replica and leaves the sum in its own slot, so the reduction
+       below runs in shard-index order whichever lane ran the shard:
+       every float is the same at any pool size. *)
+    let slots =
+      Array.init n_shards (fun _ ->
+          let slot, _, _, _, _ = make_theta () in
+          slot)
+    in
+    let lanes =
+      Array.init (Pool.size pool) (fun _ ->
+          let tstore, _, _, pnode, gnode = make_theta () in
+          {
+            tstore;
+            pnode;
+            gnode;
+            smodel = replicate model;
+            tctx = Ad.new_ctx ();
+            tplans = Ad.plan_cache ~capacity:64 ();
+          })
+    in
+    (* The frozen surrogate's token stage, once per eligible block:
+       [token_h.(i)] holds block i's per-instruction token vectors.
+       Each block's vectors depend only on the block and the frozen
+       weights, so any split over the lanes gives the same bits. *)
+    let token_h = Array.make n [||] in
+    Pool.run_lanes pool n_shards (fun ~lane k ->
+        let r = lanes.(lane) in
+        let lo, hi = shard_range ~lo:0 ~size:n k in
+        for bi = lo to hi - 1 do
+          Ad.reset r.tctx;
+          token_h.(bi) <-
+            Array.map
+              (fun h -> T.copy (Ad.value h))
+              (Model.token_stage r.smodel r.tctx (fst eligible.(bi)))
+        done);
+    let shard_task r slot lo hi =
+      let ctx = r.tctx in
+      Nn.Store.zero_grads r.tstore;
+      for step = lo to hi - 1 do
+        let bi = sched.(step) in
+        let block, y = eligible.(bi) in
+        (* A block recurs across passes and epochs, and its trace is
+           fixed (the theta leaves change values, not structure), so
+           each step replays its block's compiled plan; the theta
+           gradients it accumulates are bitwise those of the
+           interpreted tape. *)
+        let loss =
+          Ad.with_plan r.tplans ctx
+            ~key:("tbl|" ^ spec.name ^ "|" ^ Dt_x86.Block.to_string block)
+            ~grad:true ~warmup:2
+            (fun ctx ->
+              let scale_node v = Ad.constant ctx v in
+              let per_inputs =
+                Array.map
+                  (fun (instr : Dt_x86.Instruction.t) ->
+                    let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
+                    let row = Ad.abs_ ctx row in
+                    let row =
+                      if spec.per_width = T.size (Ad.value row) then row
+                      else Ad.slice ctx row ~pos:0 ~len:spec.per_width
+                    in
+                    Ad.mul ctx row (scale_node per_scale))
+                  block.instrs
+              in
+              let global_input =
+                if spec.global_width = 0 then None
+                else
+                  let gview = Ad.row ctx ~m:r.gnode 0 in
+                  let g = Ad.abs_ ctx gview in
+                  Some (Ad.mul ctx g (scale_node global_scale))
+              in
+              let params =
+                { Model.per_instr = per_inputs; global = global_input }
+              in
+              let features =
+                if (Model.config r.smodel).feature_width = 0 then None
+                else
+                  match spec.bounds with
+                  | Some f ->
+                      Some (f ctx block ~per:per_inputs ~global:global_input)
+                  | None -> None
+              in
+              let pred =
+                Model.instr_stage r.smodel ctx
+                  (Array.map (Ad.constant ctx) token_h.(bi))
+                  ~params:(Some params) ~features
+              in
+              Ad.mape ctx pred ~target:(Float.max y 1e-3))
+        in
+        Ad.backward ctx loss;
+        losses.(step) <- Ad.scalar_value loss
+      done;
+      Nn.Store.copy_grads ~src:r.tstore ~dst:slot
+    in
+    fun ~b0 ~bsize ->
+      Array.iter
+        (fun r -> Nn.Store.copy_values ~src:theta_store ~dst:r.tstore)
+        lanes;
+      Pool.run_lanes pool n_shards (fun ~lane k ->
+          let lo, hi = shard_range ~lo:b0 ~size:bsize k in
+          shard_task lanes.(lane) slots.(k) lo hi);
+      Array.iter
+        (fun slot -> Nn.Store.accum_grads ~src:slot ~dst:theta_store)
+        slots;
+      (* The surrogate is frozen: the gradients its instruction stage
+         accumulated are simply discarded. *)
+      Array.iter (fun r -> Nn.Store.zero_grads (Model.store r.smodel)) lanes
+  in
+  (* Extraction: |theta| + lower bound, rounded; prefer the best
+     validation snapshot when a validation split was provided. *)
+  let finish ~loss:_ =
+    let final = extract_table spec theta_per theta_global in
+    match !best_table with
+    | None -> final
+    | Some (best, best_err) ->
+        let final_err = validation_error spec final valid in
+        if final_err <= best_err then final else best
+  in
+  run_phase ?checkpoint_dir ?health ~log:config.log ~name:"table"
+    ~fault_phase:Fault.Table ~fp ~rng ~n ~steps ~batch:config.table_batch
+    ~store:theta_store ~lr:config.table_lr ~after_step ~best:best_table
+    ~prepare ~finish ~enc_done:enc_table ~dec_done:dec_table ()
 
 type result = {
   table : Spec.table;
@@ -1253,60 +1182,59 @@ type result = {
   health : Fault.health;
 }
 
-(* Completed-surrogate probe used by [learn] to skip dataset collection
-   when the checkpoint already covers the whole phase. *)
-let probe_surrogate_done ~dir ~fp =
-  match
-    Checkpoint.load ~dir ~name:"surrogate" (fun d ->
-        if Dec.string d <> fp then None
-        else
-          match Dec.int d with
-          | 1 ->
-              let weights = dec_weights d in
-              let loss = Dec.float d in
-              Some (weights, loss)
-          | _ -> None)
-  with
-  | Ok (Some done_) -> Some done_
-  | Ok None | Error _ -> None
+(* Collect the simulated dataset and train [model] on it, or restore
+   both at once when [checkpoint_dir] already holds the completed
+   surrogate phase: its weights make the dataset unnecessary.  The
+   probe is silent; a stale or corrupt file is counted when
+   [train_surrogate] reads it. *)
+let collect_and_train ?checkpoint_dir ~(health : Fault.health) config
+    (spec : Spec.t) model blocks =
+  let store = Model.store model in
+  let completed =
+    match checkpoint_dir with
+    | None -> None
+    | Some dir -> (
+        let n =
+          config.sim_multiplier * Array.length (eligible_blocks config blocks)
+        in
+        let fp = surrogate_fp config spec ~n ~params:(Nn.Store.size store) in
+        match
+          Checkpoint.load ~dir ~name:"surrogate" (fun d ->
+              if Dec.string d <> fp then None
+              else
+                match dec_phase_state ~name:"surrogate" dec_surrogate_done d with
+                | `Done v -> Some v
+                | `At _ -> None)
+        with
+        | Ok v -> v
+        | Error _ -> None)
+  in
+  match completed with
+  | Some (weights, loss) ->
+      Nn.Store.import_values store weights;
+      health.skipped_phases <- health.skipped_phases + 2;
+      config.log
+        (Printf.sprintf
+           "difftune[%s]: collect + surrogate phases restored from checkpoint \
+            (loss %.4f)"
+           spec.name loss);
+      loss
+  | None ->
+      config.log
+        (Printf.sprintf "difftune[%s]: collecting simulated dataset" spec.name);
+      let data = collect ?checkpoint_dir ~health config spec blocks in
+      config.log
+        (Printf.sprintf "difftune[%s]: training surrogate on %d samples"
+           spec.name (Array.length data));
+      train_surrogate ?checkpoint_dir ~health config spec model data blocks
 
 let learn ?(valid = [||]) ?checkpoint_dir config (spec : Spec.t) ~train =
   let health = Fault.create_health () in
   let rng = Rng.create config.seed in
   let blocks = Array.map fst train in
   let model = make_model config spec rng in
-  let surrogate_skip =
-    match checkpoint_dir with
-    | None -> None
-    | Some dir ->
-        let n =
-          config.sim_multiplier * Array.length (eligible_blocks config blocks)
-        in
-        let fp =
-          surrogate_fp config spec ~n ~params:(Nn.Store.size (Model.store model))
-        in
-        probe_surrogate_done ~dir ~fp
-  in
   let surrogate_loss =
-    match surrogate_skip with
-    | Some (weights, loss) ->
-        Nn.Store.import_values (Model.store model) weights;
-        health.skipped_phases <- health.skipped_phases + 2;
-        config.log
-          (Printf.sprintf
-             "difftune[%s]: collect + surrogate phases restored from \
-              checkpoint (loss %.4f)"
-             spec.name loss);
-        loss
-    | None ->
-        config.log
-          (Printf.sprintf "difftune[%s]: collecting simulated dataset"
-             spec.name);
-        let data = collect ?checkpoint_dir ~health config spec blocks in
-        config.log
-          (Printf.sprintf "difftune[%s]: training surrogate on %d samples"
-             spec.name (Array.length data));
-        train_surrogate ?checkpoint_dir ~health config spec model data blocks
+    collect_and_train ?checkpoint_dir ~health config spec model blocks
   in
   config.log
     (Printf.sprintf "difftune[%s]: optimizing parameter table" spec.name);
@@ -1382,32 +1310,9 @@ let learn_iterative ?(valid = [||]) ?checkpoint_dir config ?(rounds = 3)
       (Printf.sprintf "difftune[%s]: refinement round %d/%d (radius %.2f)"
          spec.name round rounds radius);
     let round_cfg = { per_round with seed = config.seed + round } in
-    let surrogate_skip =
-      match round_dir with
-      | None -> None
-      | Some dir ->
-          let n =
-            round_cfg.sim_multiplier
-            * Array.length (eligible_blocks round_cfg blocks)
-          in
-          let fp =
-            surrogate_fp round_cfg local_spec ~n
-              ~params:(Nn.Store.size (Model.store model))
-          in
-          probe_surrogate_done ~dir ~fp
-    in
-    (match surrogate_skip with
-    | Some (weights, round_loss) ->
-        Nn.Store.import_values (Model.store model) weights;
-        health.skipped_phases <- health.skipped_phases + 2;
-        loss := round_loss
-    | None ->
-        let data =
-          collect ?checkpoint_dir:round_dir ~health round_cfg local_spec blocks
-        in
-        loss :=
-          train_surrogate ?checkpoint_dir:round_dir ~health round_cfg
-            local_spec model data blocks);
+    loss :=
+      collect_and_train ?checkpoint_dir:round_dir ~health round_cfg local_spec
+        model blocks;
     let table =
       optimize_table ~init:!center ~valid ?checkpoint_dir:round_dir ~health
         round_cfg spec model ~train
@@ -1426,21 +1331,7 @@ let spec_features (spec : Spec.t) ~reference block =
     (Spec.bound_values spec (Ad.new_ctx ()) block ~per ~global)
 
 let make_ithemal_model config ~feature_width rng =
-  let mcfg =
-    {
-      Model.embed_dim = config.embed_dim;
-      token_hidden = config.token_hidden;
-      instr_hidden = config.instr_hidden;
-      token_layers = config.token_layers;
-      instr_layers = config.instr_layers;
-      with_params = false;
-      per_instr_params = 0;
-      global_params = 0;
-      feature_width = (if config.use_analytic then feature_width else 0);
-      head_hidden = config.head_hidden;
-    }
-  in
-  Model.create ~config:mcfg rng
+  Model.create ~config:(model_config config ~params:None ~feature_width) rng
 
 (* The shared Ithemal fitting loop: SGD/Adam over [eligible] on an
    existing [model] (either freshly initialized by {!train_ithemal} or a
@@ -1552,12 +1443,6 @@ let fit_ithemal config ~features rng model eligible =
             end)
           alloc
       end
-
-let eligible_labeled config train =
-  Array.of_list
-    (List.filter
-       (fun (b, _) -> Dt_x86.Block.length b <= config.max_train_block_len)
-       train)
 
 let train_ithemal config ~features ~train =
   let rng = Rng.create (config.seed lxor 0x17e3a1) in

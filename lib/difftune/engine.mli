@@ -24,10 +24,12 @@
     the run configuration; stale or corrupt files are ignored (counted
     in {!Fault.health}) and the phase restarts cleanly.
 
-    The two training loops also carry numeric-health guards: a
-    minibatch producing non-finite or exploding losses/gradients is
-    rejected, the weights/optimizer roll back to the last good
-    in-memory snapshot, and the learning rate is halved — at most a
+    {!train_surrogate} and {!optimize_table} run one shared minibatch
+    loop, which also carries numeric-health guards: a minibatch
+    producing non-finite or exploding losses/gradients is rejected,
+    the parameters/optimizer roll back to the last good in-memory
+    snapshot, and the learning rate that failed is halved — so retries
+    run at 1/2, 1/4, 1/8 and 1/16 of the phase's rate — at most a
     bounded number of times before the run fails with
     [Fault.Error (Numeric_divergence _)].  All incidents are counted in
     the {!Fault.health} record returned in {!result}. *)

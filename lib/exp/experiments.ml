@@ -20,9 +20,6 @@ let mca_timing params =
   Dt_mca.Params.validate params;
   fun block -> Dt_mca.Pipeline.timing_unchecked params block
 
-let intel = [ Uarch.Ivy_bridge; Uarch.Haswell; Uarch.Skylake ]
-let _ = intel
-
 (* ------------------------------------------------------------------ *)
 
 let table3 runner =

@@ -108,6 +108,10 @@ type batch_sample = {
       (** analytic bounds; [Some] iff [feature_width > 0] *)
 }
 
+(** The power-of-two length bucket (at least 1) that the batched path
+    packs a sequence of length [n] into. *)
+val bucket_len : int -> int
+
 (** [forward_batch t ctx samples] — predicted timings for B blocks as a
     [B x 1] node (row [i] is sample [i]).  Token and instruction
     sequences are packed into power-of-two length buckets so every LSTM

@@ -5,8 +5,9 @@
    truncation, aborts at checkpoint boundaries), restarting against the
    same checkpoint directory whenever an injected abort escapes — the
    same recovery an operator would perform after a real crash.  The run
-   must converge; when no numeric fault perturbed the trajectory, the
-   result must be bit-identical to a clean, uncheckpointed run. *)
+   must converge and its descent must move the table off the zero-pass
+   table; when no numeric fault perturbed the trajectory, the result
+   must be bit-identical to a clean, uncheckpointed run. *)
 
 module Faultsim = Dt_util.Faultsim
 module Fault = Dt_difftune.Fault
@@ -37,13 +38,16 @@ let () =
   (* Guided sampling: the pipeline under fault then exercises the
      stratify -> pilot fit -> adaptive allocation path too, so the
      [collect.pilot_crash] matrix cell (and pool/abort faults landing
-     inside the pilot) hit real code. *)
+     inside the pilot) hit real code.  [table_lr = 1.0]: at 0.05 one
+     pass never moves a rounded entry, and the bit-identity check
+     below would see only the surrogate loss. *)
   let cfg =
     {
       Engine.fast_config with
       seed = 7;
       sim_multiplier = 2;
       surrogate_passes = 0.5;
+      table_lr = 1.0;
       table_passes = 1.0;
       sampling = Engine.Guided Dt_difftune.Strata.default;
     }
@@ -77,11 +81,16 @@ let () =
         prerr_endline "fault_smoke: non-finite surrogate loss";
         exit 1
       end;
+      Faultsim.clear ();
+      let unmoved = Engine.learn { cfg with table_passes = 0.0 } spec ~train in
+      if r.table = unmoved.table then begin
+        prerr_endline "fault_smoke: learned table equals the zero-pass table";
+        exit 1
+      end;
       (* Aborts, worker crashes and torn checkpoints must not change the
          result; only a numeric fault (rollback + LR backoff) legitimately
          alters the trajectory. *)
       if r.health.nan_batches = 0 then begin
-        Faultsim.clear ();
         let clean = Engine.learn cfg spec ~train in
         if r.table <> clean.table
            || not (Float.equal r.surrogate_loss clean.surrogate_loss)

@@ -403,20 +403,37 @@ let tiny_train =
 
 let wl_spec = Spec.mca_write_latency Uarch.Haswell
 
+(* [table_lr = 1.0] (as in test_plan's compiled-descent pin): at the
+   fast config's 0.05 the descent never moves a rounded entry, and every
+   table comparison below would compare two copies of the initial draw.
+   [test_resume_bit_identical] guards that. *)
 let tiny_cfg =
   {
     Engine.fast_config with
     seed = 4;
     sim_multiplier = 2;
     surrogate_passes = 0.5;
+    table_lr = 1.0;
     table_passes = 2.0;
   }
 
 let tiny_valid = Array.sub tiny_train 0 16
 
-let learn ?checkpoint_dir () =
-  Engine.learn ~valid:tiny_valid ?checkpoint_dir tiny_cfg wl_spec
-    ~train:tiny_train
+let learn_with ?checkpoint_dir cfg =
+  Engine.learn ~valid:tiny_valid ?checkpoint_dir cfg wl_spec ~train:tiny_train
+
+let learn ?checkpoint_dir () = learn_with ?checkpoint_dir tiny_cfg
+
+(* The [grad.nan] hit at the table phase's first minibatch: one past the
+   surrogate phase's minibatches, counted by a run that arms the site
+   past reach and learns no table. *)
+let first_table_hit () =
+  Faultsim.clear ();
+  Faultsim.arm "grad.nan" ~at:max_int;
+  ignore (learn_with { tiny_cfg with table_passes = 0.0 });
+  let hits = Faultsim.hits "grad.nan" in
+  Faultsim.clear ();
+  hits + 1
 
 (* Run to completion under repeated SIGKILL-style interruptions: every
    checkpoint install aborts the process (arming [engine.abort] at the
@@ -440,6 +457,9 @@ let drive_to_completion dir =
 let test_resume_bit_identical () =
   with_faults (fun () ->
       let baseline = learn () in
+      let unmoved = learn_with { tiny_cfg with table_passes = 0.0 } in
+      Alcotest.(check bool) "descent moves the table" true
+        (baseline.table <> unmoved.table);
       (* An uninterrupted checkpointed run must not perturb results. *)
       with_tmpdir (fun dir ->
           let straight = learn ~checkpoint_dir:dir () in
@@ -491,9 +511,10 @@ let test_corrupt_checkpoint_restarts_clean () =
 
 let test_nan_gradient_rollback () =
   with_faults (fun () ->
-      (* Poison the reduced gradient of the second minibatch in each
-         training phase; the run must roll back, back off the learning
-         rate, and still finish with a valid result. *)
+      (* Poison the reduced gradient of the surrogate phase's second
+         minibatch (the site's second hit); the run must roll back,
+         back off the learning rate, and still finish with a valid
+         result. *)
       Faultsim.configure "grad.nan@2";
       let r = learn () in
       Alcotest.(check int) "one bad batch" 1 r.health.nan_batches;
@@ -512,16 +533,62 @@ let test_nan_gradient_rollback () =
 
 let test_divergence_budget_exhausted () =
   with_faults (fun () ->
-      (* Poison every minibatch: after the bounded retry budget the run
-         must fail with a structured fault, not a hang or a NaN table. *)
-      for k = 1 to 64 do
-        Faultsim.arm "grad.nan" ~at:k
-      done;
-      match learn () with
-      | _ -> Alcotest.fail "expected Numeric_divergence"
-      | exception Fault.Error (Fault.Numeric_divergence { retries; _ }) ->
-          Alcotest.(check int) "full retry budget consumed" 4 retries
-      | exception e -> Alcotest.fail (Printexc.to_string e))
+      (* Poison every minibatch from a phase's first one on: after the
+         bounded retry budget the run must fail with a structured fault
+         naming that phase, not a hang or a NaN table. *)
+      List.iter
+        (fun (phase, first) ->
+          Faultsim.clear ();
+          for k = first to first + 63 do
+            Faultsim.arm "grad.nan" ~at:k
+          done;
+          match learn () with
+          | _ -> Alcotest.fail "expected Numeric_divergence"
+          | exception
+              Fault.Error (Fault.Numeric_divergence { phase = p; retries; _ })
+            ->
+              Alcotest.(check string) "phase" (Fault.phase_name phase)
+                (Fault.phase_name p);
+              Alcotest.(check int) "full retry budget consumed" 4 retries
+          | exception e -> Alcotest.fail (Printexc.to_string e))
+        [ (Fault.Surrogate, 1); (Fault.Table, first_table_hit ()) ])
+
+let test_backoff_compounds () =
+  with_faults (fun () ->
+      (* k poisonings in a row of a phase's first minibatch roll back to
+         its start k times, each halving the rate that failed: the run
+         must match a clean run at that phase's rate / 2^k. *)
+      let table_hit = first_table_hit () in
+      List.iter
+        (fun (phase, first, slower) ->
+          List.iter
+            (fun k ->
+              Faultsim.clear ();
+              for i = 0 to k - 1 do
+                Faultsim.arm "grad.nan" ~at:(first + i)
+              done;
+              let r = learn () in
+              Faultsim.clear ();
+              let clean = learn_with (slower (float_of_int (1 lsl k))) in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %d rollbacks" phase k)
+                k r.health.rollbacks;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %d poisonings = clean run at lr / %d" phase
+                   k (1 lsl k))
+                true
+                (r.table = clean.table
+                && Float.equal r.surrogate_loss clean.surrogate_loss))
+            [ 1; 3 ])
+        [
+          ( "surrogate",
+            1,
+            fun d ->
+              { tiny_cfg with surrogate_lr = tiny_cfg.surrogate_lr /. d } );
+          ( "table",
+            table_hit,
+            fun d -> { tiny_cfg with table_lr = tiny_cfg.table_lr /. d } );
+        ])
 
 let test_no_training_blocks_fault () =
   let cfg = { tiny_cfg with Engine.max_train_block_len = 0 } in
@@ -591,6 +658,8 @@ let () =
             test_nan_gradient_rollback;
           Alcotest.test_case "divergence budget" `Slow
             test_divergence_budget_exhausted;
+          Alcotest.test_case "rollback backoff compounds" `Slow
+            test_backoff_compounds;
           Alcotest.test_case "no training blocks" `Quick
             test_no_training_blocks_fault;
           Alcotest.test_case "worker fault propagates" `Quick
