@@ -52,10 +52,11 @@ loadtest: build
 # and requires it to converge (bit-identically, unless the fault was
 # numeric).  One extra cell re-runs the combined fault spec with the
 # graph sanitizer armed: arena poisoning and generation stamps must stay
-# quiet on correct code even while faults fire.  Compiled replay is the
-# only production executor; test/test_plan.ml pins it bitwise to the
-# interpreted oracle inside the regular test suite, so no cell varies
-# the executor.
+# quiet on correct code even while faults fire.  Compiled replay runs
+# only the per-block training traces (table descent, the Ithemal fit);
+# batched training and prediction run the interpreter.  test/test_plan.ml
+# pins replay bitwise to the interpreted oracle inside the regular test
+# suite, so no cell varies the executor.
 FAULT_SPECS = pool.worker@2 grad.nan@2 ckpt.truncate@1 engine.abort@2 \
               collect.pilot_crash@1 "engine.abort@2;grad.nan@3"
 verify: build
@@ -80,10 +81,11 @@ verify: build
 	dune exec test/test_sampler.exe || exit 1
 	@echo "== sampler racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 dune exec test/test_sampler.exe || exit 1
-	@# Plan-cache confinement cell: table descent keeps one plan cache
-	@# per pool lane, and the race sanitizer checks each cache's owner
-	@# token while the compiled-executor suite descends at 1, 2 and 4
-	@# domains.  Descent also computes each block's token vectors on
+	@# Confinement cell: table descent keeps one plan cache per pool
+	@# lane, and the race sanitizer checks each cache's owner token while
+	@# the compiled-executor suite descends at 1, 2 and 4 domains (and
+	@# each surrogate model's owner token around its batched calls).
+	@# Descent also computes each block's token vectors on
 	@# the pool's lanes before its first step; this cell must stay
 	@# quiet with that work spread over them.  The same suite pins the
 	@# learned table's bits (test_table_compiled_equals_interp): a
@@ -140,11 +142,11 @@ bench-json-mca:
 # the tokenizer (min of three passes, per-key drift thresholds) against
 # the committed BENCH_PR*.json baselines (each key resolved from the
 # newest file that records it), and enforces the absolute bounds
-# recorded there (compiled speedup >= 1.5x, sanitize overhead <= 15%,
-# batch-32 per-sample <= 1.10x batch-8, lifecycle shadow-scoring
-# overhead <= 10%, zero requests shed across a hot-swap, and the PR 9
-# fleet load-test bounds: zero lost/duplicate, shed <= 1%, the armed
-# shard crash survived, cache locality >= 50%, p99 <= 3 s).
+# recorded there (per-sequence compiled speedup >= 1.5x, sanitize
+# overhead <= 15%, lifecycle shadow-scoring overhead <= 10%, zero
+# requests shed across a hot-swap, and the fleet load-test bounds:
+# zero lost/duplicate, shed <= 1%, the armed shard crash survived,
+# cache locality >= 50%, p99 <= 3 s).
 bench-guard: build
 	dune exec bench/main.exe -- perf-guard
 

@@ -55,9 +55,9 @@ let estimates ?only () =
   (* Legacy row names keep their PR 5 semantics — the interpreted tape —
      so the committed baselines stay comparable.  The per-sequence rows
      build the [Model.predict] graph on a reset context with no plan
-     cache; the batched rows pin the executor with [Ad.set_compile] (a
-     ref write, invisible at these scales).  The [_compiled] rows
-     measure the same math through record/plan/replay.
+     cache, and the batched rows run the interpreter, as every batched
+     call does.  [surrogate.forward_backward_compiled] measures the
+     per-sequence step through record/plan/replay.
 
      [surrogate.forward] is one interpreted per-sequence forward;
      [surrogate.forward_backward] is one full training step over a
@@ -92,9 +92,8 @@ let estimates ?only () =
   let plan_ctx = Ad.new_ctx () in
   let plan_cache = Ad.plan_cache () in
   let train_step_compiled () =
-    Ad.set_compile true;
     let loss =
-      Ad.with_plan plan_cache plan_ctx ~key:"bench.fb" ~grad:true (fun ctx ->
+      Ad.with_plan plan_cache plan_ctx ~key:"bench.fb" (fun ctx ->
           Ad.mape ctx (seq_predict ctx) ~target:2.0)
     in
     Ad.backward plan_ctx loss;
@@ -124,8 +123,7 @@ let estimates ?only () =
         })
   in
   let batch_ctx = Ad.new_ctx () in
-  let train_batch_step compile samples targets () =
-    Ad.set_compile compile;
+  let train_batch_step samples targets () =
     ignore (Model.train_batch model batch_ctx samples ~targets);
     Dt_nn.Nn.Store.zero_grads store
   in
@@ -138,23 +136,12 @@ let estimates ?only () =
           ( Printf.sprintf "surrogate.forward_batch.b%d" b,
             Test.make
               ~name:(Printf.sprintf "surrogate.forward_batch.b%d" b)
-              (Staged.stage (fun () ->
-                   Ad.set_compile false;
-                   Model.predict_batch_value model samples)) );
+              (Staged.stage (fun () -> Model.predict_batch_value model samples))
+          );
           ( Printf.sprintf "surrogate.train_batch.b%d" b,
             Test.make
               ~name:(Printf.sprintf "surrogate.train_batch.b%d" b)
-              (Staged.stage (train_batch_step false samples targets)) );
-          ( Printf.sprintf "surrogate.forward_compiled.b%d" b,
-            Test.make
-              ~name:(Printf.sprintf "surrogate.forward_compiled.b%d" b)
-              (Staged.stage (fun () ->
-                   Ad.set_compile true;
-                   Model.predict_batch_value model samples)) );
-          ( Printf.sprintf "surrogate.train_compiled.b%d" b,
-            Test.make
-              ~name:(Printf.sprintf "surrogate.train_compiled.b%d" b)
-              (Staged.stage (train_batch_step true samples targets)) );
+              (Staged.stage (train_batch_step samples targets)) );
         ])
       [ 1; 8; 32 ]
   in
@@ -329,7 +316,6 @@ let sanitize_overhead () =
   let store = Model.store model in
   let ctx = Ad.new_ctx () in
   let train_step () =
-    Ad.set_compile false;
     Ad.reset ctx;
     let params =
       {
@@ -353,10 +339,9 @@ let sanitize_overhead () =
       let pctx = Ad.new_ctx () in
       let cache = Ad.plan_cache () in
       fun sanitize () ->
-        Ad.set_compile true;
         Ad.set_sanitize sanitize;
         let loss =
-          Ad.with_plan cache pctx ~key:"san.fb" ~grad:true (fun ctx ->
+          Ad.with_plan cache pctx ~key:"san.fb" (fun ctx ->
               let params =
                 {
                   Model.per_instr =
@@ -441,29 +426,6 @@ let batch_speedups ns =
       ~batched:"surrogate.train_batch.b8" ~b:8 "batch.speedup_train_b8"
   @ speedup ~scalar:"surrogate.forward_backward"
       ~batched:"surrogate.train_batch.b32" ~b:32 "batch.speedup_train_b32"
-  (* Compiled-vs-interpreted, same shape on both sides (b = 1: these are
-     plain ratios of the matching rows).  The guarded headline ratio,
-     compiled.speedup_forward_backward, is measured by an interleaved
-     duel in [sanitize_overhead] instead — adjacent-row ratios here are
-     informational only. *)
-  @ speedup ~scalar:"surrogate.forward_batch.b8"
-      ~batched:"surrogate.forward_compiled.b8" ~b:1 "compiled.speedup_forward_b8"
-  @ speedup ~scalar:"surrogate.forward_batch.b32"
-      ~batched:"surrogate.forward_compiled.b32" ~b:1
-      "compiled.speedup_forward_b32"
-  @ speedup ~scalar:"surrogate.train_batch.b8"
-      ~batched:"surrogate.train_compiled.b8" ~b:1 "compiled.speedup_train_b8"
-  @ speedup ~scalar:"surrogate.train_batch.b32"
-      ~batched:"surrogate.train_compiled.b32" ~b:1 "compiled.speedup_train_b32"
-  (* Per-sample cost of compiled b32 relative to compiled b8: > 1.0 means
-     the larger bucket scales sublinearly.  bench-guard bounds this at
-     1.10 (the PR 6 "b32 within 10% of b8" criterion). *)
-  @ (match
-       (get "surrogate.forward_compiled.b8", get "surrogate.forward_compiled.b32")
-     with
-    | Some b8, Some b32 when b8 > 0.0 ->
-        [ ("compiled.b32_vs_b8_per_sample", b32 /. 32.0 /. (b8 /. 8.0)) ]
-    | _ -> [])
 
 (* ---- surrogate-lifecycle serving rows (PR 7) ----
 
@@ -715,13 +677,6 @@ let perf_json () =
   let sc = scaling () in
   let sa, duel_sp = sanitize_overhead () in
   let sp = batch_speedups ns @ duel_sp in
-  (match List.assoc_opt "compiled.b32_vs_b8_per_sample" sp with
-  | Some r when r > 1.10 ->
-      Printf.printf
-        "WARNING: compiled b32 per-sample cost is %.2fx b8 (> 1.10); \
-         bench-guard will reject this snapshot\n%!"
-        r
-  | _ -> ());
   let lf = lifecycle_rows () in
   let rc = racecheck_rows () in
   let oc = open_out "BENCH_PR8.json" in
@@ -787,14 +742,14 @@ let baseline_files () =
   |> List.sort (fun (a, _) (b, _) -> compare b a)
   |> List.map snd
 
-(* Absolute bounds on derived rows of the committed PR 6 snapshot: the
-   compiled executor must keep its claimed wins, not just avoid drift.
-   (key, `Min|`Max, bound) — checked against the baseline file itself,
-   so the committed numbers are what the guard holds the tree to. *)
+(* Absolute bounds on derived rows of the committed snapshots: the
+   compiled executor must keep its claimed per-sequence win, not just
+   avoid drift.  (key, `Min|`Max, bound) — checked against the baseline
+   file itself, so the committed numbers are what the guard holds the
+   tree to. *)
 let guard_absolute =
   [
     ("compiled.speedup_forward_backward", `Min, 1.5);
-    ("compiled.b32_vs_b8_per_sample", `Max, 1.10);
     ("sanitize.overhead_pct", `Max, 15.0);
     (* PR 7 lifecycle bounds: sampled shadow-scoring may cost at most
        10% of warmed serving throughput, and a hot-swap under

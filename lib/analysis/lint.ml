@@ -138,31 +138,34 @@ let gemv_batch_rule =
     whitelist = [];
   }
 
-(* The compiled executor (PR 6) records a trace once and replays a
-   static plan; network code that issues Ad tape-op constructors from
-   inside a for loop on a per-call path pays the interpreter's per-op
-   allocation and dispatch on every iteration instead.  Loops that
-   build a trace *under* an Ad.with_plan capture are fine — they run
-   once per record — which is exactly what the whitelisted files do. *)
+(* Network code that issues Ad tape-op constructors from inside a for
+   loop builds a trace op by op on every call.  That is the design in
+   two places only: a batched trace runs on the interpreter (one gemm
+   per timestep, and its shape recurs too rarely to replay), and a
+   per-block trace records under an Ad.with_plan key whose plan then
+   replays.  The whitelisted files are those two trace builders. *)
 let tape_op_loop_rule =
   {
     name = "tape-op-loop";
     summary =
       "Ad tape-op constructor called inside a for loop in network code; \
-       hot paths should record once under Ad.with_plan and replay the \
-       compiled plan instead of re-issuing per-op interpreter calls";
+       a per-block trace that recurs should record under Ad.with_plan \
+       and replay its plan, and per-row work should be batched, which \
+       runs on the interpreter by design";
     in_scope =
       (fun path -> contains path "lib/nn/" || contains path "lib/surrogate/");
     whitelist =
       [
         ( "lib/nn/nn.ml",
-          "LSTM/MLP step loops build the trace exactly once per capture; \
-           the Model entry points record them under Ad.with_plan and \
-           replay the sealed plan on every later call" );
+          "LSTM/MLP step loops are the trace builders: batched steps run \
+           on the interpreter by design, and per-sequence steps record \
+           under the Ad.with_plan keys of table descent and the Ithemal \
+           fit and replay there" );
         ( "lib/surrogate/model.ml",
-          "trace closures here run inside Ad.with_plan (plan cache keyed \
-           by shape profile), so their loops execute once per record, \
-           not once per prediction" );
+          "the batched entry points run their traces on the interpreter \
+           by design (a minibatch's shape profile seldom recurs); the \
+           per-sequence stages are recorded under Ad.with_plan by their \
+           per-block callers" );
       ];
   }
 
@@ -699,8 +702,8 @@ let lint_ast ~path ?only ast =
                 add tape_op_loop_rule loc
                   (Printf.sprintf
                      "Ad.%s constructs a tape op on every loop iteration; \
-                      record the trace once under Ad.with_plan and replay \
-                      the compiled plan"
+                      batch the rows, or record a recurring per-block \
+                      trace under Ad.with_plan and replay its plan"
                      fn)
             | _ -> ())
         | _ -> ());

@@ -17,9 +17,9 @@ type ukind = Sigmoid | Tanh | Relu | Abs | Expc | Affine of float * float
    audit (tape nodes are context-private, so marking is race-free).
 
    [op] is mutable solely so compiled-plan replay can rebind per-call
-   immediates (constant payloads arrive by blit; gather indices, blend
-   masks and MAPE targets arrive by swapping the op in place) and so
-   [reduce_max] can defer its argmax to execution time. *)
+   immediates (constant payloads arrive by blit; MAPE targets arrive by
+   swapping the op in place) and so [reduce_max] can defer its argmax to
+   execution time. *)
 type node = {
   value : T.t;
   grad : T.t;
@@ -75,15 +75,12 @@ and mode = Interp | Replay of replay
 and replay = { rplan : plan; mutable cursor : int }
 
 and plan = {
-  pkey : string;
-  pgrad : bool; (* sealed with adjoint slots (training) or forward-only *)
   psan : bool; (* sealed under sanitize; a toggle invalidates the plan *)
   pnodes : node array; (* mirrors of the recorded tape, in tape order *)
   pinstrs : pinstr array; (* fused schedule, one slot per tape position *)
   proot : node;
-  pgslab : T.buf; (* adjoint slab; single dummy cell when not [pgrad] *)
+  pgslab : T.buf; (* adjoint slab *)
   pflow : flow_report option; (* flow audit hoisted to seal time *)
-  pfused : int; (* fusion groups in this plan *)
   pbytes : int; (* value + adjoint slab bytes *)
   pbeta : node array; (* beta-accumulating outputs poisoned per replay *)
   (* Deferred weight-gradient outer products, one entry per leaf/const
@@ -97,11 +94,11 @@ and pinstr =
   | Pop of node (* unfused: shared forward kernel + shared backprop *)
   | Pmv of node (* matvec whose weight-grad ger is deferred to pgers *)
   | Pskip (* interior of a fusion group *)
-  | Pfadd3 of fadd3 (* (a + b) + c, or broadcast (a + b) + bias *)
-  | Pfgate of fgate (* sigmoid/tanh over a column window of src *)
+  | Pfadd3 of fadd3 (* (a + b) + c *)
+  | Pfgate of fgate (* sigmoid/tanh over a window of src *)
   | Pfcell of fcell (* a1*b1 + a2*b2 (the LSTM cell update) *)
 
-and fadd3 = { a3out : node; a3a : node; a3b : node; a3c : node; a3brd : bool }
+and fadd3 = { a3out : node; a3a : node; a3b : node; a3c : node }
 and fgate = { fgout : node; fgsrc : node; fgpos : int; fgsig : bool }
 
 (* [fcm1]/[fcm2] are the Add's operands in order (forward); [fchi]/[fclo]
@@ -160,7 +157,6 @@ type plan_stats = {
   plan_hits : int;
   plan_misses : int;
   plan_evictions : int;
-  plan_replays : int;
   fused_ops : int;
   slab_bytes : int;
 }
@@ -169,7 +165,6 @@ let s_compiled = Atomic.make 0
 let s_hits = Atomic.make 0
 let s_misses = Atomic.make 0
 let s_evictions = Atomic.make 0
-let s_replays = Atomic.make 0
 let s_fused = Atomic.make 0
 let s_slab = Atomic.make 0
 
@@ -179,7 +174,6 @@ let plan_stats () =
     plan_hits = Atomic.get s_hits;
     plan_misses = Atomic.get s_misses;
     plan_evictions = Atomic.get s_evictions;
-    plan_replays = Atomic.get s_replays;
     fused_ops = Atomic.get s_fused;
     slab_bytes = Atomic.get s_slab;
   }
@@ -189,7 +183,6 @@ let reset_plan_stats () =
   Atomic.set s_hits 0;
   Atomic.set s_misses 0;
   Atomic.set s_evictions 0;
-  Atomic.set s_replays 0;
   Atomic.set s_fused 0;
   Atomic.set s_slab 0
 
@@ -934,210 +927,139 @@ let mape ctx pred ~target =
 
    The batched LSTM packs B sequences per timestep into [B x hidden]
    matrices; these ops are the matrix analogues of matvec / add / slice
-   / concat / mape, with both gradient paths expressed as gemm calls. *)
+   / concat / mape, with both gradient paths expressed as gemm calls.
+   They run only on the interpreter: a batched trace's shape recurs too
+   rarely for a sealed plan to replay, so [with_plan] refuses a trace
+   that holds one, and meeting one during a replay means the trace has
+   left its plan. *)
+
+let interp_only ctx name =
+  match ctx.mode with Replay _ -> rmismatch name | Interp -> ()
 
 let matmul ctx ~x ~w =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "matmul" in
-      match n.op with
-      | Matmul (x', w') when x' == x && w' == w -> n
-      | _ -> rmismatch "matmul")
-  | Interp ->
-      if !sanitize && x.value.T.cols <> w.value.T.cols then
-        raise
-          (Shape_error
-             (Printf.sprintf
-                "Ad.matmul: x is %s, w is %s; inner dimensions (x cols, w \
-                 cols) must match"
-                (shape_str x.value) (shape_str w.value)));
-      if x.value.T.cols <> w.value.T.cols then
-        invalid_arg "Ad.matmul: shape mismatch";
-      let n =
-        make ctx ~rows:x.value.T.rows ~cols:w.value.T.rows (Matmul (x, w))
-      in
-      exec_forward n;
-      if !sanitize then ignore (san_output "matmul" n);
-      n
+  interp_only ctx "matmul";
+  if !sanitize && x.value.T.cols <> w.value.T.cols then
+    raise
+      (Shape_error
+         (Printf.sprintf
+            "Ad.matmul: x is %s, w is %s; inner dimensions (x cols, w cols) \
+             must match"
+            (shape_str x.value) (shape_str w.value)));
+  if x.value.T.cols <> w.value.T.cols then
+    invalid_arg "Ad.matmul: shape mismatch";
+  let n = make ctx ~rows:x.value.T.rows ~cols:w.value.T.rows (Matmul (x, w)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "matmul" n);
+  n
 
 let add_row ctx a ~bias =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "add_row" in
-      match n.op with
-      | AddRow (a', b') when a' == a && b' == bias -> n
-      | _ -> rmismatch "add_row")
-  | Interp ->
-      if !sanitize
-         && (bias.value.T.rows <> 1 || bias.value.T.cols <> a.value.T.cols)
-      then
-        raise
-          (Shape_error
-             (Printf.sprintf "Ad.add_row: a is %s, bias is %s (expected 1x%d)"
-                (shape_str a.value) (shape_str bias.value) a.value.T.cols));
-      if bias.value.T.rows <> 1 || bias.value.T.cols <> a.value.T.cols then
-        invalid_arg "Ad.add_row: shape mismatch";
-      let rows = a.value.T.rows and cols = a.value.T.cols in
-      let n = make ctx ~rows ~cols (AddRow (a, bias)) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "add_row" n);
-      n
+  interp_only ctx "add_row";
+  if !sanitize
+     && (bias.value.T.rows <> 1 || bias.value.T.cols <> a.value.T.cols)
+  then
+    raise
+      (Shape_error
+         (Printf.sprintf "Ad.add_row: a is %s, bias is %s (expected 1x%d)"
+            (shape_str a.value) (shape_str bias.value) a.value.T.cols));
+  if bias.value.T.rows <> 1 || bias.value.T.cols <> a.value.T.cols then
+    invalid_arg "Ad.add_row: shape mismatch";
+  let rows = a.value.T.rows and cols = a.value.T.cols in
+  let n = make ctx ~rows ~cols (AddRow (a, bias)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "add_row" n);
+  n
 
 let stack_rows ctx parts =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "stack_rows" in
-      match n.op with
-      | StackRows stored
-        when Array.length stored = Array.length parts
-             && begin
-                  let ok = ref true in
-                  Array.iteri
-                    (fun r (p, _) -> if fst stored.(r) != p then ok := false)
-                    parts;
-                  !ok
-                end ->
-          (* Sources are structural; row indices are per-call immediates
-             (token ids, bucket rows) — bounds-check and rebind. *)
-          Array.iter
-            (fun (p, i) ->
-              if i < 0 || i >= p.value.T.rows then
-                invalid_arg "Ad.stack_rows: row index out of range")
-            parts;
-          n.op <- StackRows parts;
-          n
-      | _ -> rmismatch "stack_rows")
-  | Interp ->
-      if Array.length parts = 0 then invalid_arg "Ad.stack_rows: empty";
-      let cols = (fst parts.(0)).value.T.cols in
-      Array.iteri
-        (fun r (p, i) ->
-          if p.value.T.cols <> cols then
-            if !sanitize then
-              raise
-                (Shape_error
-                   (Printf.sprintf
-                      "Ad.stack_rows: source %d is %s, expected %d columns" r
-                      (shape_str p.value) cols))
-            else invalid_arg "Ad.stack_rows: column mismatch";
-          if i < 0 || i >= p.value.T.rows then
-            invalid_arg "Ad.stack_rows: row index out of range")
-        parts;
-      let n = make ctx ~rows:(Array.length parts) ~cols (StackRows parts) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "stack_rows" n);
-      n
-
-let cols ctx v ~pos ~len =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "cols" in
-      match n.op with
-      | ColSlice (v', pos') when v' == v && pos' = pos && n.value.T.cols = len
-        ->
-          n
-      | _ -> rmismatch "cols")
-  | Interp ->
-      if pos < 0 || len <= 0 || pos + len > v.value.T.cols then
+  interp_only ctx "stack_rows";
+  if Array.length parts = 0 then invalid_arg "Ad.stack_rows: empty";
+  let cols = (fst parts.(0)).value.T.cols in
+  Array.iteri
+    (fun r (p, i) ->
+      if p.value.T.cols <> cols then
         if !sanitize then
           raise
             (Shape_error
                (Printf.sprintf
-                  "Ad.cols: column window [%d, %d) out of range for operand %s"
-                  pos (pos + len) (shape_str v.value)))
-        else invalid_arg "Ad.cols: out of range";
-      let rows = v.value.T.rows in
-      let n = make ctx ~rows ~cols:len (ColSlice (v, pos)) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "cols" n);
-      n
+                  "Ad.stack_rows: source %d is %s, expected %d columns" r
+                  (shape_str p.value) cols))
+        else invalid_arg "Ad.stack_rows: column mismatch";
+      if i < 0 || i >= p.value.T.rows then
+        invalid_arg "Ad.stack_rows: row index out of range")
+    parts;
+  let n = make ctx ~rows:(Array.length parts) ~cols (StackRows parts) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "stack_rows" n);
+  n
+
+let cols ctx v ~pos ~len =
+  interp_only ctx "cols";
+  if pos < 0 || len <= 0 || pos + len > v.value.T.cols then
+    if !sanitize then
+      raise
+        (Shape_error
+           (Printf.sprintf
+              "Ad.cols: column window [%d, %d) out of range for operand %s" pos
+              (pos + len) (shape_str v.value)))
+    else invalid_arg "Ad.cols: out of range";
+  let rows = v.value.T.rows in
+  let n = make ctx ~rows ~cols:len (ColSlice (v, pos)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "cols" n);
+  n
 
 let concat_cols ctx parts =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "concat_cols" in
-      match n.op with
-      | ConcatCols stored when same_parts stored (Array.of_list parts) -> n
-      | _ -> rmismatch "concat_cols")
-  | Interp ->
-      if parts = [] then invalid_arg "Ad.concat_cols: empty";
-      let parts = Array.of_list parts in
-      let rows = parts.(0).value.T.rows in
-      Array.iteri
-        (fun i p ->
-          if p.value.T.rows <> rows then
-            if !sanitize then
-              raise
-                (Shape_error
-                   (Printf.sprintf
-                      "Ad.concat_cols: part %d is %s, expected %d rows" i
-                      (shape_str p.value) rows))
-            else invalid_arg "Ad.concat_cols: row mismatch")
-        parts;
-      let total = Array.fold_left (fun acc p -> acc + p.value.T.cols) 0 parts in
-      let n = make ctx ~rows ~cols:total (ConcatCols parts) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "concat_cols" n);
-      n
+  interp_only ctx "concat_cols";
+  if parts = [] then invalid_arg "Ad.concat_cols: empty";
+  let parts = Array.of_list parts in
+  let rows = parts.(0).value.T.rows in
+  Array.iteri
+    (fun i p ->
+      if p.value.T.rows <> rows then
+        if !sanitize then
+          raise
+            (Shape_error
+               (Printf.sprintf "Ad.concat_cols: part %d is %s, expected %d rows"
+                  i (shape_str p.value) rows))
+        else invalid_arg "Ad.concat_cols: row mismatch")
+    parts;
+  let total = Array.fold_left (fun acc p -> acc + p.value.T.cols) 0 parts in
+  let n = make ctx ~rows ~cols:total (ConcatCols parts) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "concat_cols" n);
+  n
 
 let row_blend ctx ~mask a b =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "row_blend" in
-      match n.op with
-      | RowBlend (a', b', _) when a' == a && b' == b ->
-          if Array.length mask <> a.value.T.rows then
-            invalid_arg "Ad.row_blend: mask length";
-          n.op <- RowBlend (a, b, mask);
-          n
-      | _ -> rmismatch "row_blend")
-  | Interp ->
-      if !sanitize then san_same ctx "row_blend" a b;
-      if not (T.same_shape a.value b.value) then
-        invalid_arg "Ad.row_blend: shape mismatch";
-      if Array.length mask <> a.value.T.rows then
-        invalid_arg "Ad.row_blend: mask length";
-      let rows = a.value.T.rows and width = a.value.T.cols in
-      let n = make ctx ~rows ~cols:width (RowBlend (a, b, mask)) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "row_blend" n);
-      n
+  interp_only ctx "row_blend";
+  if !sanitize then san_same ctx "row_blend" a b;
+  if not (T.same_shape a.value b.value) then
+    invalid_arg "Ad.row_blend: shape mismatch";
+  if Array.length mask <> a.value.T.rows then
+    invalid_arg "Ad.row_blend: mask length";
+  let rows = a.value.T.rows and width = a.value.T.cols in
+  let n = make ctx ~rows ~cols:width (RowBlend (a, b, mask)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "row_blend" n);
+  n
 
 let mape_batch ctx pred ~targets =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "mape_batch" in
-      match n.op with
-      | MapeBatch (pred', _) when pred' == pred ->
-          if Array.length targets <> pred.value.T.rows then
-            invalid_arg "Ad.mape_batch: targets length";
-          Array.iter
-            (fun t ->
-              if t <= 0.0 then
-                invalid_arg "Ad.mape_batch: target must be positive")
-            targets;
-          n.op <- MapeBatch (pred, targets);
-          n
-      | _ -> rmismatch "mape_batch")
-  | Interp ->
-      if !sanitize && pred.value.T.cols <> 1 then
-        raise
-          (Shape_error
-             (Printf.sprintf "Ad.mape_batch: prediction is %s, expected Bx1"
-                (shape_str pred.value)));
-      if pred.value.T.cols <> 1 then
-        invalid_arg "Ad.mape_batch: prediction shape";
-      let rows = pred.value.T.rows in
-      if Array.length targets <> rows then
-        invalid_arg "Ad.mape_batch: targets length";
-      Array.iter
-        (fun t ->
-          if t <= 0.0 then invalid_arg "Ad.mape_batch: target must be positive")
-        targets;
-      let n = make ctx ~rows ~cols:1 (MapeBatch (pred, targets)) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "mape_batch" n);
-      n
+  interp_only ctx "mape_batch";
+  if !sanitize && pred.value.T.cols <> 1 then
+    raise
+      (Shape_error
+         (Printf.sprintf "Ad.mape_batch: prediction is %s, expected Bx1"
+            (shape_str pred.value)));
+  if pred.value.T.cols <> 1 then invalid_arg "Ad.mape_batch: prediction shape";
+  let rows = pred.value.T.rows in
+  if Array.length targets <> rows then
+    invalid_arg "Ad.mape_batch: targets length";
+  Array.iter
+    (fun t ->
+      if t <= 0.0 then invalid_arg "Ad.mape_batch: target must be positive")
+    targets;
+  let n = make ctx ~rows ~cols:1 (MapeBatch (pred, targets)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "mape_batch" n);
+  n
 
 (* ---- reverse pass ---- *)
 
@@ -1346,7 +1268,7 @@ let fadd3_forward (f : fadd3) =
     let ob = ov.T.off + (i * ov.T.rs)
     and ab = av.T.off + (i * av.T.rs)
     and bb = bv.T.off + (i * bv.T.rs)
-    and cb = cv.T.off + if f.a3brd then 0 else i * cv.T.rs in
+    and cb = cv.T.off + (i * cv.T.rs) in
     for j = 0 to cols - 1 do
       Bigarray.Array1.unsafe_set od (ob + j)
         (Bigarray.Array1.unsafe_get ad (ab + j)
@@ -1366,7 +1288,7 @@ let fadd3_backward (f : fadd3) =
     let gb = og.T.off + (i * og.T.rs)
     and ab = ag.T.off + (i * ag.T.rs)
     and bb = bg.T.off + (i * bg.T.rs)
-    and cb = cg.T.off + if f.a3brd then 0 else i * cg.T.rs in
+    and cb = cg.T.off + (i * cg.T.rs) in
     for j = 0 to cols - 1 do
       let g = Bigarray.Array1.unsafe_get gd (gb + j) in
       let t = 0.0 +. g in
@@ -1379,58 +1301,40 @@ let fadd3_backward (f : fadd3) =
     done
   done
 
+(* A gate's input is a [slice], whose output is a single row, so one
+   flat loop covers it. *)
 let fgate_forward (g : fgate) =
   let ov = g.fgout.value and sv = g.fgsrc.value in
   let od = ov.T.data and sd = sv.T.data in
-  let rows = ov.T.rows and len = ov.T.cols in
+  let ob = ov.T.off and sb = sv.T.off + g.fgpos in
   if g.fgsig then
-    for i = 0 to rows - 1 do
-      let ob = ov.T.off + (i * ov.T.rs)
-      and sb = sv.T.off + (i * sv.T.rs) + g.fgpos in
-      for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set od (ob + j)
-          (1.0 /. (1.0 +. exp (-.Bigarray.Array1.unsafe_get sd (sb + j))))
-      done
+    for j = 0 to T.size ov - 1 do
+      Bigarray.Array1.unsafe_set od (ob + j)
+        (1.0 /. (1.0 +. exp (-.Bigarray.Array1.unsafe_get sd (sb + j))))
     done
   else
-    for i = 0 to rows - 1 do
-      let ob = ov.T.off + (i * ov.T.rs)
-      and sb = sv.T.off + (i * sv.T.rs) + g.fgpos in
-      for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set od (ob + j)
-          (fast_tanh (Bigarray.Array1.unsafe_get sd (sb + j)))
-      done
+    for j = 0 to T.size ov - 1 do
+      Bigarray.Array1.unsafe_set od (ob + j)
+        (fast_tanh (Bigarray.Array1.unsafe_get sd (sb + j)))
     done
 
 let fgate_backward (g : fgate) =
   let ov = g.fgout.value and og = g.fgout.grad and sg = g.fgsrc.grad in
   let od = ov.T.data and gd = og.T.data and sd = sg.T.data in
-  let rows = ov.T.rows and len = ov.T.cols in
+  let ob = ov.T.off and gb = og.T.off and sb = sg.T.off + g.fgpos in
   if g.fgsig then
-    for i = 0 to rows - 1 do
-      let ob = ov.T.off + (i * ov.T.rs)
-      and gb = og.T.off + (i * og.T.rs)
-      and sb = sg.T.off + (i * sg.T.rs) + g.fgpos in
-      for j = 0 to len - 1 do
-        let y = Bigarray.Array1.unsafe_get od (ob + j) in
-        let d = Bigarray.Array1.unsafe_get gd (gb + j) *. y *. (1.0 -. y) in
-        Bigarray.Array1.unsafe_set sd (sb + j)
-          (Bigarray.Array1.unsafe_get sd (sb + j) +. (0.0 +. d))
-      done
+    for j = 0 to T.size ov - 1 do
+      let y = Bigarray.Array1.unsafe_get od (ob + j) in
+      let d = Bigarray.Array1.unsafe_get gd (gb + j) *. y *. (1.0 -. y) in
+      Bigarray.Array1.unsafe_set sd (sb + j)
+        (Bigarray.Array1.unsafe_get sd (sb + j) +. (0.0 +. d))
     done
   else
-    for i = 0 to rows - 1 do
-      let ob = ov.T.off + (i * ov.T.rs)
-      and gb = og.T.off + (i * og.T.rs)
-      and sb = sg.T.off + (i * sg.T.rs) + g.fgpos in
-      for j = 0 to len - 1 do
-        let y = Bigarray.Array1.unsafe_get od (ob + j) in
-        let d =
-          Bigarray.Array1.unsafe_get gd (gb + j) *. (1.0 -. (y *. y))
-        in
-        Bigarray.Array1.unsafe_set sd (sb + j)
-          (Bigarray.Array1.unsafe_get sd (sb + j) +. (0.0 +. d))
-      done
+    for j = 0 to T.size ov - 1 do
+      let y = Bigarray.Array1.unsafe_get od (ob + j) in
+      let d = Bigarray.Array1.unsafe_get gd (gb + j) *. (1.0 -. (y *. y)) in
+      Bigarray.Array1.unsafe_set sd (sb + j)
+        (Bigarray.Array1.unsafe_get sd (sb + j) +. (0.0 +. d))
     done
 
 let fcell_forward (c : fcell) =
@@ -1504,31 +1408,23 @@ let exec_matvec_fast m x n =
 let exec_plan p =
   (* Replay-time sanitize: the record pass already proved every other op
      writes its full output as a pure function of its inputs, so the only
-     use-before-write risk left is the beta-accumulate class (gemv/gemm
-     into their own output slot).  Poison exactly those slots and scan
-     them after each execution; everything else was validated at seal. *)
+     use-before-write risk left is the beta-accumulate class (gemv into
+     its own output slot).  Poison exactly those slots and scan them
+     after each execution; everything else was validated at seal. *)
   if p.psan then
     Array.iter
       (fun n ->
         let v = n.value in
         T.fill_poison_buf v.T.data ~pos:v.T.off ~len:(T.size v))
       p.pbeta;
-  let m = Array.length p.pinstrs in
-  for i = 0 to m - 1 do
+  for i = 0 to Array.length p.pinstrs - 1 do
     match Array.unsafe_get p.pinstrs i with
-    | Pop n -> (
-        (match n.op with
-        | Matvec (m, x) -> exec_matvec_fast m x n
-        | _ -> exec_forward n);
-        if p.psan then
-          match n.op with
-          | Matvec _ | Matmul _ -> ignore (san_output (op_name n.op) n)
-          | _ -> ())
-    | Pmv n ->
-        (match n.op with
-        | Matvec (m, x) -> exec_matvec_fast m x n
-        | _ -> assert false);
-        if p.psan then ignore (san_output "matvec" n)
+    | Pop n | Pmv n -> (
+        match n.op with
+        | Matvec (m, x) ->
+            exec_matvec_fast m x n;
+            if p.psan then ignore (san_output "matvec" n)
+        | _ -> exec_forward n)
     | Pskip -> ()
     | Pfadd3 f -> fadd3_forward f
     | Pfgate g -> fgate_forward g
@@ -1536,8 +1432,6 @@ let exec_plan p =
   done
 
 let plan_backward p =
-  if not p.pgrad then
-    invalid_arg "Ad.backward: plan was compiled without gradients";
   (* One memset replaces the interpreter's per-node adjoint zeroing —
      same bytes, same zero, one pass. *)
   Bigarray.Array1.fill p.pgslab 0.0;
@@ -1572,15 +1466,15 @@ let plan_backward p =
 (* ---- sealing: tape -> plan ----
 
    Runs right after a record pass, while the interpreted tape is intact.
-   Mirrors every tape node into plan-private nodes whose values live in
-   one exactly-sized slab (sized for the traced batch bucket, so replay
-   never grows an arena mid-loop), decides fusion groups, computes a
-   liveness-based slot reuse for forward-only plans, and hoists the
-   sanitizer's whole-graph work (shape checks happened during the record
-   pass; the flow audit is computed here once and re-installed on every
-   replay backward). *)
+   Mirrors every tape node into plan-private nodes whose values and
+   adjoints live in two exactly-sized slabs (one slot per node, so
+   replay never grows an arena mid-loop), decides fusion groups, and
+   hoists the sanitizer's whole-graph work (shape checks happened during
+   the record pass; the flow audit is computed here once and
+   re-installed on every replay backward).  The record pass has already
+   refused batched ops, so the tape holds only per-sequence ones. *)
 
-let seal ctx ~key ~grad ~root =
+let seal ctx ~root =
   let n = ctx.count in
   if n = 0 then invalid_arg "Ad.with_plan: trace recorded no tape nodes";
   if root.ctx_id <> ctx.id || root.gen <> ctx.gen then
@@ -1594,9 +1488,6 @@ let seal ctx ~key ~grad ~root =
   done;
   let tape = ctx.tape in
   let owned q = q.ctx_id = ctx.id && q.gen = ctx.gen in
-  let is_view i =
-    match tape.(i).op with Row _ | Slice _ -> true | _ -> false
-  in
   (* Consumer counts, for single-consumer fusion eligibility. *)
   let cnt = Array.make n 0 in
   for i = 0 to n - 1 do
@@ -1608,8 +1499,8 @@ let seal ctx ~key ~grad ~root =
      the mirrors reproduce the same structure).  Fusion stays on for
      sanitize-sealed plans: the record pass validated every op
      individually, and the replay-time poison scan only ever reads
-     beta-accumulate outputs (matvec/matmul), which are never fusion
-     inners — so fused groups cost the sanitizer nothing. *)
+     matvec outputs, which are never fusion inners — so fused groups
+     cost the sanitizer nothing. *)
   let dec = Array.make n `Pop in
   let ri = root.mark in
   for i = 2 to n - 1 do
@@ -1626,7 +1517,7 @@ let seal ctx ~key ~grad ~root =
             dec.(x.mark) <- `Skip;
             dec.(y.mark) <- `Skip;
             dec.(i) <- `Cell
-        | Add (u, _) | AddRow (u, _)
+        | Add (u, _)
           when owned u && u.mark = i - 1
                && (match u.op with Add _ -> true | _ -> false)
                && cnt.(u.mark) = 1 && u.mark <> ri
@@ -1635,7 +1526,7 @@ let seal ctx ~key ~grad ~root =
             dec.(i) <- `Add3
         | Unary (u, (Sigmoid | Tanh))
           when owned u && u.mark = i - 1
-               && (match u.op with Slice _ | ColSlice _ -> true | _ -> false)
+               && (match u.op with Slice _ -> true | _ -> false)
                && cnt.(u.mark) = 1 && u.mark <> ri
                && dec.(u.mark) = `Pop ->
             dec.(u.mark) <- `Skip;
@@ -1643,86 +1534,20 @@ let seal ctx ~key ~grad ~root =
         | _ -> ()
       end
     done;
-  (* Liveness for forward-only plans: node i's value slot is free once
-     its last consumer has executed (view chains charge the viewed base;
-     fused groups charge every input at the group's outer instruction).
-     Grad-mode plans get no reuse — backward reads every value — and
-     sanitize plans keep slots distinct for the poison discipline. *)
-  let reuse = (not grad) && not psan in
-  let rec base i =
-    match tape.(i).op with
-    | (Row (m, _) | Slice (m, _)) when owned m -> base m.mark
-    | _ -> i
-  in
-  let eff = Array.init n (fun i -> i) in
+  (* Slab offsets in tape order: a value slot for every node but the
+     views (Row, Slice), an adjoint slot for every node. *)
+  let off = Array.make n 0 and goff = Array.make n 0 in
+  let total = ref 0 and gtotal = ref 0 in
   for i = 0 to n - 1 do
-    if dec.(i) = `Skip then begin
-      (* inner of the group whose outer is the next non-skip slot *)
-      let j = ref (i + 1) in
-      while !j < n && dec.(!j) = `Skip do
-        incr j
-      done;
-      if !j < n then eff.(i) <- !j
-    end
+    let size = T.size tape.(i).value in
+    (match tape.(i).op with
+    | Row _ | Slice _ -> ()
+    | _ ->
+        off.(i) <- !total;
+        total := !total + size);
+    goff.(i) <- !gtotal;
+    gtotal := !gtotal + size
   done;
-  let last_use = Array.init n (fun i -> i) in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun o ->
-        if owned o then begin
-          let b = base o.mark in
-          if eff.(i) > last_use.(b) then last_use.(b) <- eff.(i)
-        end)
-      (operands tape.(i).op)
-  done;
-  last_use.(base ri) <- n;
-  (* root's value outlives the replay *)
-  (* Slab offsets: bump allocation, with a size-keyed free list when
-     reuse is on. *)
-  let off = Array.make n (-1) in
-  let total = ref 0 in
-  let free : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let release = Array.make n [] in
-  for i = 0 to n - 1 do
-    if not (is_view i) then begin
-      let size = T.size tape.(i).value in
-      (* Const slots are written at trace time (replay rebinds them all
-         before any kernel runs), so a Const must never RECEIVE a reused
-         slot — the donor op would overwrite it during execution, or an
-         earlier Const sharing it would be clobbered by the later one's
-         rebind.  Donating after last use is safe: ops only write during
-         execution, after the Const's consumers have run. *)
-      let receivable =
-        reuse && match tape.(i).op with Const -> false | _ -> true
-      in
-      (match
-         if receivable then Hashtbl.find_opt free size else None
-       with
-      | Some (o :: rest) ->
-          off.(i) <- o;
-          Hashtbl.replace free size rest
-      | Some [] | None ->
-          off.(i) <- !total;
-          total := !total + size);
-      if reuse && last_use.(i) < n then
-        release.(last_use.(i)) <- i :: release.(last_use.(i))
-    end;
-    List.iter
-      (fun j ->
-        let size = T.size tape.(j).value in
-        let prev =
-          match Hashtbl.find_opt free size with Some l -> l | None -> []
-        in
-        Hashtbl.replace free size (off.(j) :: prev))
-      release.(i)
-  done;
-  let goff = Array.make n 0 in
-  let gtotal = ref 0 in
-  if grad then
-    for i = 0 to n - 1 do
-      goff.(i) <- !gtotal;
-      gtotal := !gtotal + T.size tape.(i).value
-    done;
   let pslab =
     Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max !total 1)
   in
@@ -1731,7 +1556,6 @@ let seal ctx ~key ~grad ~root =
   in
   if psan then T.fill_poison_buf pslab ~pos:0 ~len:(max !total 1);
   let pid = Atomic.fetch_and_add ctx_counter 1 in
-  let gdummy = T.of_buf pgslab ~off:0 ~rows:1 ~cols:1 in
   let mirrors = Array.make n dummy in
   let map q = if owned q then mirrors.(q.mark) else q in
   for i = 0 to n - 1 do
@@ -1752,13 +1576,9 @@ let seal ctx ~key ~grad ~root =
       | SumAll v -> SumAll (map v)
       | ReduceMax (v, bi) -> ReduceMax (map v, bi)
       | Mape (p, t) -> Mape (map p, t)
-      | Matmul (x, w) -> Matmul (map x, map w)
-      | AddRow (a, b) -> AddRow (map a, map b)
-      | StackRows parts -> StackRows (Array.map (fun (p, j) -> (map p, j)) parts)
-      | ColSlice (v, pos) -> ColSlice (map v, pos)
-      | ConcatCols parts -> ConcatCols (Array.map map parts)
-      | RowBlend (a, b, mask) -> RowBlend (map a, map b, mask)
-      | MapeBatch (p, ts) -> MapeBatch (map p, ts)
+      | Matmul _ | AddRow _ | StackRows _ | ColSlice _ | ConcatCols _
+      | RowBlend _ | MapeBatch _ ->
+          assert false
     in
     let rows = o.value.T.rows and cols = o.value.T.cols in
     let value =
@@ -1767,8 +1587,8 @@ let seal ctx ~key ~grad ~root =
       | Slice (v, pos) -> T.sub v.value ~pos ~len:cols
       | _ -> T.of_buf pslab ~off:off.(i) ~rows ~cols
     in
-    let g = if grad then T.of_buf pgslab ~off:goff.(i) ~rows ~cols else gdummy in
-    mirrors.(i) <- { value; grad = g; op = op'; ctx_id = pid; gen = 0; mark = i }
+    let grad = T.of_buf pgslab ~off:goff.(i) ~rows ~cols in
+    mirrors.(i) <- { value; grad; op = op'; ctx_id = pid; gen = 0; mark = i }
   done;
   (* ger deferral: a matvec's weight-gradient update (dM += dy x^T) may
      be batched at the end of the reverse pass iff nothing reads M's
@@ -1785,8 +1605,7 @@ let seal ctx ~key ~grad ~root =
     | op -> List.iter (fun o -> disq := o :: !disq) (operands op)
   done;
   let defer_ok m =
-    grad
-    && (match m.op with Leaf | Const -> true | _ -> false)
+    (match m.op with Leaf | Const -> true | _ -> false)
     && not (List.memq m !disq)
   in
   let fused = ref 0 in
@@ -1804,13 +1623,7 @@ let seal ctx ~key ~grad ~root =
             match out.op with
             | Add (u, c) -> (
                 match u.op with
-                | Add (a, b) ->
-                    Pfadd3 { a3out = out; a3a = a; a3b = b; a3c = c; a3brd = false }
-                | _ -> assert false)
-            | AddRow (u, c) -> (
-                match u.op with
-                | Add (a, b) ->
-                    Pfadd3 { a3out = out; a3a = a; a3b = b; a3c = c; a3brd = true }
+                | Add (a, b) -> Pfadd3 { a3out = out; a3a = a; a3b = b; a3c = c }
                 | _ -> assert false)
             | _ -> assert false)
         | `Gate -> (
@@ -1820,7 +1633,7 @@ let seal ctx ~key ~grad ~root =
             | Unary (u, k) -> (
                 let s = match k with Sigmoid -> true | _ -> false in
                 match u.op with
-                | Slice (v, pos) | ColSlice (v, pos) ->
+                | Slice (v, pos) ->
                     Pfgate { fgout = out; fgsrc = v; fgpos = pos; fgsig = s }
                 | _ -> assert false)
             | _ -> assert false)
@@ -1836,7 +1649,7 @@ let seal ctx ~key ~grad ~root =
   let pbeta =
     Array.of_list
       (List.filter
-         (fun m -> match m.op with Matvec _ | Matmul _ -> true | _ -> false)
+         (fun m -> match m.op with Matvec _ -> true | _ -> false)
          (Array.to_list mirrors))
   in
   (* Group the deferred gers by (mirrored) weight matrix.  Iterating the
@@ -1844,29 +1657,26 @@ let seal ctx ~key ~grad ~root =
      tape index — exactly the descending order the reverse pass applies
      them in, so no re-sort is needed. *)
   let pgers =
-    if not grad then [||]
-    else begin
-      let groups : (node * (node * node) list ref) list ref = ref [] in
-      Array.iter
-        (fun pi ->
-          match pi with
-          | Pmv nd -> (
-              match nd.op with
-              | Matvec (m, x) -> (
-                  match List.find_opt (fun (w, _) -> w == m) !groups with
-                  | Some (_, l) -> l := (nd, x) :: !l
-                  | None -> groups := (m, ref [ (nd, x) ]) :: !groups)
-              | _ -> assert false)
-          | _ -> ())
-        pinstrs;
-      Array.of_list
-        (List.rev_map
-           (fun (w, l) ->
-             ( w.grad,
-               Array.of_list (List.map (fun (nd, _) -> nd.grad) !l),
-               Array.of_list (List.map (fun (_, x) -> x.value) !l) ))
-           !groups)
-    end
+    let groups : (node * (node * node) list ref) list ref = ref [] in
+    Array.iter
+      (fun pi ->
+        match pi with
+        | Pmv nd -> (
+            match nd.op with
+            | Matvec (m, x) -> (
+                match List.find_opt (fun (w, _) -> w == m) !groups with
+                | Some (_, l) -> l := (nd, x) :: !l
+                | None -> groups := (m, ref [ (nd, x) ]) :: !groups)
+            | _ -> assert false)
+        | _ -> ())
+      pinstrs;
+    Array.of_list
+      (List.rev_map
+         (fun (w, l) ->
+           ( w.grad,
+             Array.of_list (List.map (fun (nd, _) -> nd.grad) !l),
+             Array.of_list (List.map (fun (_, x) -> x.value) !l) ))
+         !groups)
   in
   (* Restore audit scratch. *)
   for i = 0 to n - 1 do
@@ -1877,26 +1687,30 @@ let seal ctx ~key ~grad ~root =
   ignore (Atomic.fetch_and_add s_fused !fused);
   ignore (Atomic.fetch_and_add s_slab pbytes);
   {
-    pkey = key;
-    pgrad = grad;
     psan;
     pnodes = mirrors;
     pinstrs;
     proot = mirrors.(ri);
     pgslab;
     pflow;
-    pfused = !fused;
     pbytes;
     pbeta;
     pgers;
   }
 
-(* ---- plan cache + capture driver ---- *)
+(* ---- plan cache + capture driver ----
+
+   Plans pay where one trace recurs: a per-block training step (table
+   descent, the Ithemal fit) revisits its block every pass.  A key is
+   recorded twice before its plan is sealed, so a one-off trace never
+   pays the seal, and a cache holds the 64 most recently used keys. *)
+
+let plan_capacity = 64
+let plan_warmup = 2
 
 type centry = { mutable cplan : plan option; mutable seen : int }
 
 type plan_cache = {
-  cap : int;
   tbl : (string, centry) Hashtbl.t;
   mutable order : string list; (* most recently used first *)
   powner : Dt_util.Sync.owner;
@@ -1905,10 +1719,8 @@ type plan_cache = {
          that convention into a checked invariant *)
 }
 
-let plan_cache ?(capacity = 32) () =
-  if capacity < 1 then invalid_arg "Ad.plan_cache: capacity must be positive";
+let plan_cache () =
   {
-    cap = capacity;
     tbl = Hashtbl.create 64;
     order = [];
     powner = Dt_util.Sync.owner "ad.plan_cache";
@@ -1926,7 +1738,7 @@ let cache_touch c key =
   c.order <- key :: List.filter (fun k -> not (String.equal k key)) c.order
 
 let cache_evict_excess c =
-  while Hashtbl.length c.tbl > c.cap do
+  while Hashtbl.length c.tbl > plan_capacity do
     match List.rev c.order with
     | [] -> Hashtbl.reset c.tbl
     | victim :: _ ->
@@ -1935,6 +1747,21 @@ let cache_evict_excess c =
         | None -> ());
         Hashtbl.remove c.tbl victim;
         c.order <- List.filter (fun k -> not (String.equal k victim)) c.order
+  done
+
+(* Every record pass refuses a batched op, so a batched trace under
+   [with_plan] fails on its first call rather than when it would seal. *)
+let reject_batched ctx =
+  for i = 0 to ctx.count - 1 do
+    match ctx.tape.(i).op with
+    | ( Matmul _ | AddRow _ | StackRows _ | ColSlice _ | ConcatCols _
+      | RowBlend _ | MapeBatch _ ) as op ->
+        invalid_arg
+          (Printf.sprintf
+             "Ad.with_plan: the trace holds a batched op (%s); batched \
+              traces run on the interpreter"
+             (op_name op))
+    | _ -> ()
   done
 
 let replay_plan ctx p f =
@@ -1955,7 +1782,7 @@ let replay_plan ctx p f =
   ctx.replayed <- Some p;
   root
 
-let with_plan cache ctx ~key ~grad ?(warmup = 1) f =
+let with_plan cache ctx ~key f =
   if not !compile_on then begin
     reset ctx;
     f ctx
@@ -1977,18 +1804,18 @@ let with_plan cache ctx ~key ~grad ?(warmup = 1) f =
       entry.seen <- entry.seen + 1;
       reset ctx;
       let root = f ctx in
-      if entry.seen >= warmup then begin
+      reject_batched ctx;
+      if entry.seen >= plan_warmup then begin
         drop_plan entry;
-        entry.cplan <- Some (seal ctx ~key ~grad ~root)
+        entry.cplan <- Some (seal ctx ~root)
       end;
       root
     in
     match entry.cplan with
-    | Some p when p.pgrad = grad && Bool.equal p.psan !sanitize -> (
+    | Some p when Bool.equal p.psan !sanitize -> (
         match replay_plan ctx p f with
         | root ->
             Atomic.incr s_hits;
-            Atomic.incr s_replays;
             root
         | exception Plan_mismatch _ ->
             (* Structure changed under an unchanged key (or a key
@@ -1997,7 +1824,7 @@ let with_plan cache ctx ~key ~grad ?(warmup = 1) f =
             drop_plan entry;
             record_pass ())
     | Some _ ->
-        (* grad/sanitize mode changed since sealing *)
+        (* sanitize mode changed since sealing *)
         drop_plan entry;
         record_pass ()
     | None -> record_pass ()

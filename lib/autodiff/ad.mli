@@ -163,7 +163,8 @@ val mape : ctx -> node -> target:float -> node
    audit), and both matmul gradient paths are expressed as gemm calls
    into existing gradient buffers (the beta-accumulate class; the
    [ad.gemm_beta] fault site reintroduces the fresh-slot-accumulate bug
-   for the poison detector). *)
+   for the poison detector).  They run only on the interpreter:
+   {!with_plan} raises [Invalid_argument] on a trace that records one. *)
 
 (** [matmul ctx ~x ~w] — [x w^T] with [x : B x k] and [w : n x k]
     ([w] laid out exactly as {!matvec}'s matrix, so the same weight leaf
@@ -213,76 +214,71 @@ val backward : ctx -> node -> unit
 
 (* ---- compiled plans: record once, plan, fuse, replay ----
 
-   The trace a model executes is static across calls with the same
-   shapes (same batch bucket, same block structure), yet the interpreter
-   re-derives it from scratch every time: node and tensor allocation,
-   per-op dispatch, adjoint zeroing, sanitizer checks.  {!with_plan}
-   removes that overhead while keeping the interpreter as the bit-exact
-   oracle:
+   A per-block training step (table descent keyed by its block, the
+   Ithemal fit keyed likewise) runs the same trace every time its block
+   comes round, yet the interpreter re-derives it from scratch every
+   time: node and tensor allocation, per-op dispatch, adjoint zeroing,
+   sanitizer checks.  {!with_plan} removes that overhead while keeping
+   the interpreter as the bit-exact oracle:
 
-   - {e record}: the first call(s) under a key run fully interpreted —
+   - {e record}: the first two calls under a key run fully interpreted —
      the tape IS the recording, so record passes cost exactly one
      interpreted pass and produce exactly its bits.
-   - {e seal}: after [warmup] record passes, the tape is compiled into a
-     plan: every node is mirrored into one exactly-sized value slab
-     (sized for the traced bucket — replay never grows an arena),
-     forward-only plans reuse slots via liveness analysis, adjacent
-     elementwise ops are fused into single passes (the LSTM gate
-     slice+sigmoid/tanh, x+h+bias chains, the f*c + i*g cell update),
-     and whole-graph sanitizer work (flow audit, shape checks) is hoisted
-     to this one pass.
+   - {e seal}: the second record pass compiles the tape into a plan:
+     every node is mirrored into exactly-sized value and adjoint slabs
+     (replay never grows an arena), adjacent elementwise ops are fused
+     into single passes (the LSTM gate slice+sigmoid/tanh, x+h+bias
+     chains, the f*c + i*g cell update), and whole-graph sanitizer work
+     (flow audit, shape checks) is hoisted to this one pass.
    - {e replay}: later calls re-run the caller's trace function against
      a cursor over the sealed plan.  Each op call verifies structure by
      physical operand identity and rebinds per-call immediates (constant
-     payloads, gather indices, blend masks, MAPE targets), then the
-     plan's kernels execute in one batch.  Forward values, losses, and
-     every parameter gradient are bitwise identical to the interpreted
-     path: replay uses the same kernels in the same order on the same
-     operand data, and fused kernels replicate the unfused accumulation
-     sequences exactly.
+     payloads, MAPE targets), then the plan's kernels execute in one
+     batch.  Forward values, losses, and every parameter gradient are
+     bitwise identical to the interpreted path: replay uses the same
+     kernels in the same order on the same operand data, and fused
+     kernels replicate the unfused accumulation sequences exactly.
 
    Any structural divergence during replay (different op sequence,
    shapes, or operands under an unchanged key) silently evicts the plan
    and falls back to a fresh record pass — cache keys affect performance
-   only, never correctness.  Toggling sanitize or gradient mode likewise
-   invalidates a sealed plan.
+   only, never correctness.  Toggling sanitize likewise invalidates a
+   sealed plan.
 
-   Compiled replay is the only production executor. *)
+   Batched traces ({!matmul} and its kin) are not captured: their shape
+   profile recurs too rarely for a plan to replay, so they run on the
+   interpreter by design. *)
 
 (** [set_compile false] forces every {!with_plan} call through the plain
-    interpreter, the oracle that tests and the bench's interpreted rows
-    compare replay against; [set_compile true] (the default) restores
-    replay.  No environment variable sets it. *)
+    interpreter, the oracle that tests compare replay against;
+    [set_compile true] (the default) restores replay.  No environment
+    variable sets it. *)
 val set_compile : bool -> unit
 
-(** A bounded LRU cache of sealed plans.  Like a context, a cache is a
-    single-caller workspace: share it across domains by giving each
-    replica its own (it performs no locking). *)
+(** A bounded LRU cache of sealed plans (the 64 most recently used
+    keys).  Like a context, a cache is a single-caller workspace: share
+    it across domains by giving each replica its own (it performs no
+    locking). *)
 type plan_cache
 
-val plan_cache : ?capacity:int -> unit -> plan_cache
+val plan_cache : unit -> plan_cache
 
-(** [with_plan cache ctx ~key ~grad ?warmup f] runs the trace [f ctx]
-    under the compiled executor and returns its root node.  [f] must
-    express its whole computation through this module's ops on [ctx]
-    (the context is reset first; do not call {!reset} or {!backward}
-    inside [f]).  [~grad:false] seals forward-only plans whose nodes
-    carry no usable gradient buffers ({!grad} on them returns a shared
-    dummy) — do not call {!backward} after a forward-only capture.
-    [warmup] (default 1) is the number of interpreted record passes
-    under a key before sealing, so one-off traces never pay the seal
-    cost.  With compilation disabled this is exactly [reset ctx; f ctx]. *)
-val with_plan :
-  plan_cache -> ctx -> key:string -> grad:bool -> ?warmup:int ->
-  (ctx -> node) -> node
+(** [with_plan cache ctx ~key f] runs the trace [f ctx] under the
+    compiled executor and returns its root node; call {!backward} on it
+    afterwards.  [f] must express its whole computation through this
+    module's per-sequence ops on [ctx] (the context is reset first; do
+    not call {!reset} or {!backward} inside [f]).  A key is recorded
+    twice before its plan is sealed, so one-off traces never pay the
+    seal cost.  Raises [Invalid_argument] if the trace records a batched
+    op.  With compilation disabled this is exactly [reset ctx; f ctx]. *)
+val with_plan : plan_cache -> ctx -> key:string -> (ctx -> node) -> node
 
 (** Process-wide compiled-executor counters (atomic, cheap to read). *)
 type plan_stats = {
   plans_compiled : int;
-  plan_hits : int;
-  plan_misses : int;
+  plan_hits : int;  (** calls that replayed a sealed plan *)
+  plan_misses : int;  (** record passes *)
   plan_evictions : int;
-  plan_replays : int;
   fused_ops : int;  (** fusion groups across all live compiles *)
   slab_bytes : int;  (** bytes currently held by sealed plans *)
 }

@@ -1069,7 +1069,7 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
             gnode;
             smodel = replicate model;
             tctx = Ad.new_ctx ();
-            tplans = Ad.plan_cache ~capacity:64 ();
+            tplans = Ad.plan_cache ();
           })
     in
     (* The frozen surrogate's token stage, once per eligible block:
@@ -1101,7 +1101,6 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
         let loss =
           Ad.with_plan r.tplans ctx
             ~key:("tbl|" ^ spec.name ^ "|" ^ Dt_x86.Block.to_string block)
-            ~grad:true ~warmup:2
             (fun ctx ->
               let scale_node v = Ad.constant ctx v in
               let per_inputs =
@@ -1362,14 +1361,13 @@ let fit_ithemal config ~features rng model eligible =
   in
   let in_batch = ref 0 in
   let ctx = Ad.new_ctx () in
-  let plans = Ad.plan_cache ~capacity:64 () in
+  let plans = Ad.plan_cache () in
   let block_loss = Array.make (max n 1) 0.0 in
   let do_step step bi =
     let block, y = eligible.(bi) in
     let bstr = Dt_x86.Block.to_string block in
     let loss =
-      Ad.with_plan plans ctx ~key:("ith|" ^ bstr) ~grad:true ~warmup:2
-        (fun ctx ->
+      Ad.with_plan plans ctx ~key:("ith|" ^ bstr) (fun ctx ->
           let features =
             if (Model.config model).feature_width = 0 then None
             else Some (Ad.constant ctx (T.vector (Hashtbl.find feats bstr)))

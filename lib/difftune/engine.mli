@@ -231,7 +231,7 @@ val retrain_ithemal :
 (** Prediction with a model produced by {!train_ithemal}; [features] must
     be the same function used at training time.  Row 0 of
     {!ithemal_predict_batch} on the one-block batch [[| block |]]: the
-    scalar path is a one-sample batch through the compiled executor.
+    scalar path is a one-sample batch on the interpreter.
     Not thread-safe — uses the model's scratch workspace. *)
 val ithemal_predict :
   features:(Dt_x86.Block.t -> float array) option -> Model.t ->

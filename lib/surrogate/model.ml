@@ -41,7 +41,10 @@ type t = {
   head1 : Nn.Linear.t;
   head2 : Nn.Linear.t option;
   scratch : Ad.ctx;  (** workspace for gradient-free {!predict_batch_value} calls *)
-  pcache : Ad.plan_cache;  (** compiled plans, one per trace signature *)
+  owner : Dt_util.Sync.owner;
+      (** one domain at a time trains or predicts through a model (its
+          gradient buffers and scratch workspace are unlocked);
+          DIFFTUNE_RACECHECK=1 checks it *)
 }
 
 let create ?(config = default_config) rng =
@@ -83,7 +86,7 @@ let create ?(config = default_config) rng =
     head1;
     head2;
     scratch = Ad.new_ctx ();
-    pcache = Ad.plan_cache ~capacity:64 ();
+    owner = Dt_util.Sync.owner "surrogate.model";
   }
 
 let config t = t.cfg
@@ -357,68 +360,29 @@ let forward_batch t ctx (samples : batch_sample array) =
     (group_by_key sample_entries);
   Ad.stack_rows ctx pred_src
 
-(* ---- compiled capture ----
+(* ---- batched entry points ----
 
-   The two entry points below wrap their traces in {!Ad.with_plan}:
-   the first couple of calls per signature run interpreted (and record),
-   later calls replay the sealed plan.  Capturing at the model level
-   subsumes the LSTM layers — their ops are recorded as part of the
-   enclosing trace, so `lib/nn` needs no plan awareness of its own.
+   Both run the interpreter: a minibatch's trace is fixed by its shape
+   profile (per-sample instruction and token counts), and shuffled
+   training seldom repeats one, so a sealed plan would rarely replay.
    A one-sample batch is the scalar prediction: there is no separate
-   per-sequence forward entry point.
-
-   Everything per-call (parameter values, features, targets, gather
-   indices, pad masks) rebinds during replay.  A key collision or
-   structural drift only costs a re-record; it can never corrupt
-   results. *)
-
-(* The batched trace's structure depends only on the batch's {e shape
-   profile}: per-sample instruction counts and per-instruction token
-   counts (they fix the bucket grouping, padding masks, and every op
-   shape), never on token identities or parameter values — embedding
-   lookups are [stack_rows] gathers whose indices rebind at replay.
-   Keying on the profile lets one plan serve every minibatch with the
-   same shape, which is what makes replay pay off under shuffled
-   training schedules. *)
-let batch_key t prefix (samples : batch_sample array) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b prefix;
-  Buffer.add_string b (if t.cfg.with_params then "|p" else "|n");
-  Buffer.add_string b (if t.cfg.feature_width > 0 then "f|" else "-|");
-  Array.iter
-    (fun s ->
-      Array.iter
-        (fun instr ->
-          Buffer.add_string b
-            (string_of_int (List.length (Tokenizer.tokens instr)));
-          Buffer.add_char b ',')
-        s.bblock.instrs;
-      Buffer.add_char b ';')
-    samples;
-  Buffer.contents b
+   per-sequence forward entry point. *)
 
 let train_batch t ctx (samples : batch_sample array) ~targets =
   let nb = Array.length samples in
   if Array.length targets <> nb then
     invalid_arg "Model.train_batch: targets length mismatch";
-  let per_sample = ref None in
-  let loss =
-    Ad.with_plan t.pcache ctx ~key:(batch_key t "train" samples) ~grad:true
-      ~warmup:2 (fun ctx ->
-        let pred = forward_batch t ctx samples in
-        let ps = Ad.mape_batch ctx pred ~targets in
-        per_sample := Some ps;
-        Ad.sum_all ctx ps)
-  in
-  Ad.backward ctx loss;
-  let v = Ad.value (Option.get !per_sample) in
+  Dt_util.Sync.with_owner t.owner ~site:"Model.train_batch" @@ fun () ->
+  Ad.reset ctx;
+  let per_sample = Ad.mape_batch ctx (forward_batch t ctx samples) ~targets in
+  Ad.backward ctx (Ad.sum_all ctx per_sample);
+  let v = Ad.value per_sample in
   Array.init nb (fun i -> T.get v i 0)
 
 let predict_batch_value t (samples : batch_sample array) =
+  Dt_util.Sync.with_owner t.owner ~site:"Model.predict_batch_value"
+  @@ fun () ->
   let ctx = t.scratch in
-  let pred =
-    Ad.with_plan t.pcache ctx ~key:(batch_key t "fwd" samples) ~grad:false
-      ~warmup:2 (fun ctx -> forward_batch t ctx samples)
-  in
-  let v = Ad.value pred in
+  Ad.reset ctx;
+  let v = Ad.value (forward_batch t ctx samples) in
   Array.init (Array.length samples) (fun i -> T.get v i 0)

@@ -124,15 +124,18 @@ val forward_batch : t -> Dt_autodiff.Ad.ctx -> batch_sample array -> Dt_autodiff
     {!forward_batch}, sums the per-sample MAPE losses ([targets] must be
     positive) and runs backward, accumulating weight gradients — exactly
     the sum of the per-sequence gradients.  Returns the per-sample
-    losses. *)
+    losses.  It runs the interpreter: a minibatch's shape profile seldom
+    recurs, so no compiled plan is recorded for it.  One domain at a
+    time may train or predict through [t]; with
+    [DIFFTUNE_RACECHECK=1] an overlap raises {!Dt_util.Sync.Race}. *)
 val train_batch :
   t -> Dt_autodiff.Ad.ctx -> batch_sample array -> targets:float array ->
   float array
 
 (** [predict_batch_value t samples] — gradient-free batched prediction
-    through the compiled executor, on the model's scratch workspace and
-    plan cache (not thread-safe; one caller at a time).  A one-sample
-    batch [[| s |]] is the scalar prediction: there is no other
-    gradient-free forward, and row [i] is bit-identical to {!predict} on
-    sample [i] alone. *)
+    on the interpreter, in the model's scratch workspace (one caller at
+    a time, checked as for {!train_batch}).  A one-sample batch
+    [[| s |]] is the scalar prediction: there is no other gradient-free
+    forward, and row [i] is bit-identical to {!predict} on sample [i]
+    alone. *)
 val predict_batch_value : t -> batch_sample array -> float array

@@ -179,6 +179,27 @@ let tiny_train =
 
 let tiny_cfg = { Engine.fast_config with seed = 4; table_passes = 2.0 }
 
+(* [table_lr = 1.0], as in test_fault: at the fast config's 0.05 the
+   descent moves no rounded entry (0 of 3,737 in [learn smoke], 0 of 249
+   in [validation gating]), so neither test could see a descent or a
+   gating bug.  Each checks that its table moved off a zero-pass
+   learn's. *)
+let moving_cfg = { tiny_cfg with Engine.table_lr = 1.0 }
+
+let unmoved ?valid spec =
+  (Engine.learn ?valid { moving_cfg with table_passes = 0.0 } spec
+     ~train:tiny_train)
+    .table
+
+(* MD5 over every entry's IEEE-754 bits: the per rows in order, then
+   the globals. *)
+let bits_digest (t : Spec.table) =
+  let b = Buffer.create 8192 in
+  let add v = Buffer.add_int64_le b (Int64.bits_of_float v) in
+  Array.iter (Array.iter add) t.per;
+  Array.iter add t.global;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let test_collect () =
   let blocks = Array.map fst tiny_train in
   let data = Engine.collect tiny_cfg (Spec.mca_full Uarch.Haswell) blocks in
@@ -193,7 +214,16 @@ let test_collect () =
     data
 
 let test_learn_end_to_end_smoke () =
-  let res = Engine.learn tiny_cfg (Spec.mca_full Uarch.Haswell) ~train:tiny_train in
+  let res = Engine.learn moving_cfg spec ~train:tiny_train in
+  Alcotest.(check bool) "descent moves the table" true
+    (res.table <> unmoved spec);
+  (* The learned table's bits.  Descent here moves 870 of 3,737
+     entries, so unlike test_plan's 24-block pin it sees a change in
+     what descent feeds the surrogate, such as instruction i given
+     instruction i+1's token vectors.  After a deliberate numeric
+     change, re-record the digest from this check's failure. *)
+  Alcotest.(check string) "learned table digest"
+    "0016c45d50c472e4b0f4f69495b6bf19" (bits_digest res.table);
   (* Extracted table must satisfy the constraints. *)
   Array.iter
     (fun row ->
@@ -247,7 +277,9 @@ let test_learn_with_validation_gating () =
      (here we just exercise the path end to end). *)
   let valid = Array.sub tiny_train 0 20 in
   let wl_spec = Spec.mca_write_latency Uarch.Haswell in
-  let res = Engine.learn ~valid tiny_cfg wl_spec ~train:tiny_train in
+  let res = Engine.learn ~valid moving_cfg wl_spec ~train:tiny_train in
+  Alcotest.(check bool) "descent moves the table" true
+    (res.table <> unmoved ~valid wl_spec);
   Array.iter
     (fun (row : float array) ->
       Alcotest.(check bool) "bounded" true (row.(0) >= 0.0))

@@ -1,10 +1,11 @@
-(* Tests for the PR 6 compiled tape executor: record/plan/replay must be
+(* Tests for the compiled tape executor: record/plan/replay must be
    bitwise indistinguishable from the interpreted oracle (forward
    values, losses, every parameter gradient), the plan cache must
    recover from structural drift under a reused key, the sanitizer's
    poison discipline must survive compilation (a planted ad.gemv_beta
-   fault still raises under replay), and compiled end-to-end training
-   must stay deterministic across domain counts. *)
+   fault still raises under replay), batched traces must stay on the
+   interpreter, and compiled table descent must learn the interpreter's
+   table at any domain count. *)
 
 module T = Dt_tensor.Tensor
 module Ad = Dt_autodiff.Ad
@@ -89,7 +90,7 @@ let test_replay_bitwise () =
         (fun i x ->
           T.zero_ wg;
           T.zero_ bg;
-          let loss = Ad.with_plan cache ctx ~key:"t" ~grad:true (trace w b x) in
+          let loss = Ad.with_plan cache ctx ~key:"t" (trace w b x) in
           Ad.backward ctx loss;
           let el, ew, eb = oracle.(i) in
           check_bits (Printf.sprintf "loss %d" i) el (Ad.scalar_value loss);
@@ -103,10 +104,10 @@ let test_replay_bitwise () =
             eb)
         inputs;
       let s1 = Ad.plan_stats () in
-      Alcotest.(check bool) "plan compiled" true
-        (s1.Ad.plans_compiled > s0.Ad.plans_compiled);
-      Alcotest.(check bool) "replays happened" true
-        (s1.Ad.plan_replays >= s0.Ad.plan_replays + 5);
+      Alcotest.(check int) "one plan sealed" 1
+        (s1.Ad.plans_compiled - s0.Ad.plans_compiled);
+      Alcotest.(check int) "every call after the two record passes replays" 4
+        (s1.Ad.plan_hits - s0.Ad.plan_hits);
       Alcotest.(check bool) "fusion engaged" true
         (s1.Ad.fused_ops > s0.Ad.fused_ops))
 
@@ -128,9 +129,12 @@ let test_mismatch_rerecords () =
         !acc
       in
       let run n =
-        Ad.scalar_value (Ad.with_plan cache ctx ~key:"k" ~grad:false (f n))
+        let loss = Ad.with_plan cache ctx ~key:"k" (f n) in
+        Ad.backward ctx loss;
+        Ad.scalar_value loss
       in
       check_bits "record" (expect 3) (run 3);
+      check_bits "record and seal" (expect 3) (run 3);
       check_bits "replay" (expect 3) (run 3);
       let s0 = Ad.plan_stats () in
       check_bits "shape change" (expect 5) (run 5);
@@ -140,9 +144,10 @@ let test_mismatch_rerecords () =
       check_bits "resealed replay" (expect 5) (run 5);
       let s2 = Ad.plan_stats () in
       Alcotest.(check bool) "replayed after reseal" true
-        (s2.Ad.plan_replays > s1.Ad.plan_replays))
+        (s2.Ad.plan_hits > s1.Ad.plan_hits))
 
-(* Toggling gradient mode under a sealed key invalidates the plan. *)
+(* Toggling sanitize mode under a sealed key invalidates the plan: a
+   plan keeps the poison discipline it was sealed under. *)
 let test_mode_change_invalidates () =
   with_compile true (fun () ->
       let rng = Rng.create 5 in
@@ -150,26 +155,87 @@ let test_mode_change_invalidates () =
       let x = Array.init 6 (fun _ -> Rng.float_range rng (-1.0) 1.0) in
       let ctx = Ad.new_ctx () in
       let cache = Ad.plan_cache () in
-      let run grad =
-        Ad.scalar_value (Ad.with_plan cache ctx ~key:"m" ~grad (trace w b x))
+      let run () =
+        let loss = Ad.with_plan cache ctx ~key:"m" (trace w b x) in
+        Ad.backward ctx loss;
+        Ad.scalar_value loss
       in
-      let v = run true in
-      check_bits "grad replay" v (run true);
+      let v = run () in
+      check_bits "sealed" v (run ());
+      check_bits "replay" v (run ());
       let s0 = Ad.plan_stats () in
-      check_bits "fwd-only re-record" v (run false);
-      Alcotest.(check bool) "grad flip evicts" true
-        ((Ad.plan_stats ()).Ad.plan_evictions > s0.Ad.plan_evictions);
-      check_bits "fwd-only replay" v (run false);
-      (* Forward-only plans refuse backward. *)
-      (match
-         let loss = Ad.with_plan cache ctx ~key:"m" ~grad:false (trace w b x) in
-         Ad.backward ctx loss
-       with
-      | () -> Alcotest.fail "expected invalid_arg on fwd-only backward"
-      | exception Invalid_argument _ -> ());
+      with_sanitize true (fun () -> check_bits "sanitized re-record" v (run ()));
+      let s1 = Ad.plan_stats () in
+      Alcotest.(check int) "sanitize flip evicts" 1
+        (s1.Ad.plan_evictions - s0.Ad.plan_evictions);
+      Alcotest.(check int) "and re-seals at once" 1
+        (s1.Ad.plans_compiled - s0.Ad.plans_compiled);
+      check_bits "unsanitized re-record" v (run ());
+      check_bits "unsanitized replay" v (run ());
+      Alcotest.(check int) "flipping back evicts again" 2
+        ((Ad.plan_stats ()).Ad.plan_evictions - s0.Ad.plan_evictions);
       T.zero_ wg)
 
-(* ---- surrogate paths: compiled == interpreted, bitwise ---- *)
+(* Batched ops never enter a plan: [with_plan] refuses a trace that
+   records one on its first call, and one met while replaying a plan
+   sealed from a per-sequence trace evicts the plan, then is refused. *)
+let test_batched_trace_refused () =
+  with_compile true (fun () ->
+      let ctx = Ad.new_ctx () in
+      let cache = Ad.plan_cache () in
+      let w = Ad.leaf ~value:(T.create ~rows:3 ~cols:2 0.5)
+          ~grad:(T.zeros ~rows:3 ~cols:2)
+      in
+      let x ctx = Ad.constant ctx (T.create ~rows:4 ~cols:2 1.5) in
+      let batched =
+        [
+          ("matmul", fun ctx -> Ad.matmul ctx ~x:(x ctx) ~w);
+          ( "add_row",
+            fun ctx ->
+              Ad.add_row ctx (x ctx)
+                ~bias:(Ad.constant ctx (T.create ~rows:1 ~cols:2 0.25)) );
+          ("stack_rows", fun ctx -> Ad.stack_rows ctx [| (w, 0); (w, 2) |]);
+          ("cols", fun ctx -> Ad.cols ctx (x ctx) ~pos:1 ~len:1);
+          ( "concat_cols",
+            fun ctx ->
+              let a = x ctx in
+              Ad.concat_cols ctx [ a; a ] );
+          ( "row_blend",
+            fun ctx ->
+              let a = x ctx in
+              Ad.row_blend ctx ~mask:[| 1.0; 0.0; 1.0; 0.0 |] a a );
+          ( "mape_batch",
+            fun ctx ->
+              Ad.mape_batch ctx
+                (Ad.constant ctx (T.create ~rows:4 ~cols:1 2.0))
+                ~targets:[| 1.0; 2.0; 3.0; 4.0 |] );
+        ]
+      in
+      let s0 = Ad.plan_stats () in
+      List.iter
+        (fun (name, op) ->
+          match
+            Ad.with_plan cache ctx ~key:name (fun ctx -> Ad.sum_all ctx (op ctx))
+          with
+          | _ -> Alcotest.failf "%s: with_plan accepted a batched trace" name
+          | exception Invalid_argument _ -> ())
+        batched;
+      Alcotest.(check int) "nothing sealed" 0
+        ((Ad.plan_stats ()).Ad.plans_compiled - s0.Ad.plans_compiled);
+      let plain ctx = Ad.sum_all ctx (x ctx) in
+      ignore (Ad.with_plan cache ctx ~key:"drift" plain);
+      ignore (Ad.with_plan cache ctx ~key:"drift" plain);
+      let s1 = Ad.plan_stats () in
+      (match
+         Ad.with_plan cache ctx ~key:"drift" (fun ctx ->
+             Ad.sum_all ctx (Ad.matmul ctx ~x:(x ctx) ~w))
+       with
+      | _ -> Alcotest.fail "a batched op replayed inside a sealed plan"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "the drifted plan was evicted" 1
+        ((Ad.plan_stats ()).Ad.plan_evictions - s1.Ad.plan_evictions))
+
+(* ---- surrogate batched entry points: interpreter only ---- *)
 
 let small_cfg =
   {
@@ -207,97 +273,35 @@ let mk_samples rng cfg n =
       in
       { Model.bblock = b; bparams = Some (per, glob); bfeatures = feats })
 
-let grads_of store =
-  let out = ref [] in
-  Nn.Store.iter store (fun name ~value:_ ~grad ->
-      out := (name, T.to_array grad) :: !out);
-  List.rev !out
-
-let check_grads label a b =
-  List.iter2
-    (fun (na, ga) (nb, gb) ->
-      Alcotest.(check string) (label ^ " param") na nb;
-      Array.iteri
-        (fun j v -> check_bits (Printf.sprintf "%s %s[%d]" label na j) v gb.(j))
-        ga)
-    a b
-
-(* Twin models from the same seed; one trains interpreted, the other
-   compiled, over several iterations and several batch shapes (so the
-   compiled side records, seals, replays, and switches plans). *)
-let train_compiled_equals_interp cfg name () =
-  let mk () = Model.create ~config:cfg (Rng.create 131) in
-  let interp = mk () and compiled = mk () in
+(* The same minibatch three times through [train_batch] and
+   [predict_batch_value] under the production executor: no record pass,
+   no plan, no replay, and the same bits every time. *)
+let test_batched_seal_no_plan cfg () =
+  let model = Model.create ~config:cfg (Rng.create 131) in
   let rng = Rng.create 17 in
-  let samples = mk_samples rng cfg 9 in
+  let samples = mk_samples rng cfg 6 in
   let targets = Array.map (fun _ -> 1.0 +. Rng.float rng 50.0) samples in
-  let batches =
-    (* varying sizes: different shape profiles force distinct plans *)
-    [| (0, 9); (0, 9); (0, 9); (2, 5); (0, 9); (2, 5); (0, 4) |]
+  let ctx = Ad.new_ctx () in
+  let s0 = Ad.plan_stats () in
+  let runs =
+    List.init 3 (fun _ ->
+        Nn.Store.zero_grads (Model.store model);
+        ( Model.train_batch model ctx samples ~targets,
+          Model.predict_batch_value model samples ))
   in
-  let run model compile =
-    with_compile compile (fun () ->
-        let ctx = Ad.new_ctx () in
-        let store = Model.store model in
-        Array.map
-          (fun (lo, len) ->
-            Nn.Store.zero_grads store;
-            let ls =
-              Model.train_batch model ctx
-                (Array.sub samples lo len)
-                ~targets:(Array.sub targets lo len)
-            in
-            (ls, grads_of store))
-          batches)
-  in
-  let ri = run interp false in
-  let rc = run compiled true in
-  Array.iteri
-    (fun i (li, gi) ->
-      let lc, gc = rc.(i) in
-      Array.iteri
-        (fun j v -> check_bits (Printf.sprintf "%s loss %d.%d" name i j) v lc.(j))
-        li;
-      check_grads (Printf.sprintf "%s iter %d" name i) gi gc)
-    ri
-
-(* The scalar prediction is a one-sample batch. *)
-let test_one_sample_batch_bitwise () =
-  let mk () = Model.create ~config:small_cfg (Rng.create 77) in
-  let interp = mk () and compiled = mk () in
-  let rng = Rng.create 41 in
-  let samples = mk_samples rng small_cfg 5 in
-  (* Three sweeps: the compiled side records each shape profile twice,
-     then replays its sealed plan. *)
-  for sweep = 1 to 3 do
-    Array.iteri
-      (fun i (s : Model.batch_sample) ->
-        let vi =
-          with_compile false (fun () -> Model.predict_batch_value interp [| s |])
-        in
-        let vc =
-          with_compile true (fun () -> Model.predict_batch_value compiled [| s |])
-        in
-        check_bits (Printf.sprintf "sweep %d block %d" sweep i) vi.(0) vc.(0))
-      samples
-  done
-
-let test_predict_batch_bitwise () =
-  let mk () = Model.create ~config:physics_cfg (Rng.create 99) in
-  let interp = mk () and compiled = mk () in
-  let rng = Rng.create 53 in
-  let samples = mk_samples rng physics_cfg 8 in
-  for sweep = 1 to 3 do
-    let vi =
-      with_compile false (fun () -> Model.predict_batch_value interp samples)
-    in
-    let vc =
-      with_compile true (fun () -> Model.predict_batch_value compiled samples)
-    in
-    Array.iteri
-      (fun i v -> check_bits (Printf.sprintf "sweep %d row %d" sweep i) v vc.(i))
-      vi
-  done
+  let s1 = Ad.plan_stats () in
+  Alcotest.(check (list int)) "plans sealed, hits, misses" [ 0; 0; 0 ]
+    [
+      s1.Ad.plans_compiled - s0.Ad.plans_compiled;
+      s1.Ad.plan_hits - s0.Ad.plan_hits;
+      s1.Ad.plan_misses - s0.Ad.plan_misses;
+    ];
+  let l0, p0 = List.hd runs in
+  List.iteri
+    (fun k (l, p) ->
+      Array.iteri (fun i v -> check_bits (Printf.sprintf "run %d loss %d" k i) v l.(i)) l0;
+      Array.iteri (fun i v -> check_bits (Printf.sprintf "run %d pred %d" k i) v p.(i)) p0)
+    runs
 
 (* ---- sanitizer parity under compiled replay ---- *)
 
@@ -319,9 +323,12 @@ let test_sanitize_fault_parity () =
             Ad.sum_all ctx (Ad.matvec ctx ~m:w ~x)
           in
           let run () =
-            Ad.scalar_value (Ad.with_plan cache ctx ~key:"san" ~grad:false f)
+            let loss = Ad.with_plan cache ctx ~key:"san" f in
+            Ad.backward ctx loss;
+            Ad.scalar_value loss
           in
           let v1 = run () in
+          check_bits "sanitized seal" v1 (run ());
           check_bits "sanitized replay" v1 (run ());
           Faultsim.arm "ad.gemv_beta" ~at:1;
           match run () with
@@ -348,9 +355,7 @@ let test_sanitize_quiet_compiled () =
           let ctx = Ad.new_ctx () in
           let cache = Ad.plan_cache () in
           for _ = 1 to 3 do
-            let loss =
-              Ad.with_plan cache ctx ~key:"q" ~grad:true (trace w b x)
-            in
+            let loss = Ad.with_plan cache ctx ~key:"q" (trace w b x) in
             Ad.backward ctx loss;
             match Ad.last_flow_report ctx with
             | None -> Alcotest.fail "no flow report"
@@ -370,52 +375,6 @@ let tiny_train =
      Array.map
        (fun (l : Dt_bhive.Dataset.labeled) -> (l.entry.block, l.timing))
        (Dt_bhive.Dataset.all ds))
-
-(* Compiled surrogate training must be bit-identical to interpreted
-   training, and deterministic across DIFFTUNE_DOMAINS=1,2,4. *)
-let test_train_domains_compiled () =
-  let module Spec = Dt_difftune.Spec in
-  let module Engine = Dt_difftune.Engine in
-  let train = Lazy.force tiny_train in
-  let blocks = Array.map fst train in
-  let spec = Spec.mca_write_latency uarch in
-  let cfg =
-    {
-      Engine.fast_config with
-      seed = 9;
-      sim_multiplier = 2;
-      surrogate_passes = 0.5;
-    }
-  in
-  let run ~compile domains =
-    with_domains domains (fun () ->
-        with_compile compile (fun () ->
-            let data = Engine.collect cfg spec blocks in
-            let model = Engine.make_model cfg spec (Rng.create 5) in
-            let loss = Engine.train_surrogate cfg spec model data blocks in
-            (loss, Nn.Store.export_values (Model.store model))))
-  in
-  let l0, w0 = run ~compile:false 1 in
-  let l1, w1 = run ~compile:true 1 in
-  let l2, w2 = run ~compile:true 2 in
-  let l4, w4 = run ~compile:true 4 in
-  check_bits "compiled = interp" l0 l1;
-  check_bits "domains 1=2" l1 l2;
-  check_bits "domains 1=4" l1 l4;
-  let check_weights label a b =
-    List.iter2
-      (fun (na, _, _, da) (nb, _, _, db) ->
-        if na <> nb then Alcotest.failf "%s: name %s <> %s" label na nb;
-        Array.iteri
-          (fun i v ->
-            if not (Int64.equal (bits v) (bits db.(i))) then
-              Alcotest.failf "%s: %s[%d] %h <> %h" label na i v db.(i))
-          da)
-      a b
-  in
-  check_weights "weights interp=compiled" w0 w1;
-  check_weights "weights 1=2" w1 w2;
-  check_weights "weights 1=4" w1 w4
 
 (* Parameter-table descent (theta gradients through compiled plans per
    block) must match the interpreter bit for bit at any pool size.  The
@@ -521,17 +480,15 @@ let () =
           Alcotest.test_case "mismatch re-records" `Quick test_mismatch_rerecords;
           Alcotest.test_case "mode change invalidates" `Quick
             test_mode_change_invalidates;
+          Alcotest.test_case "batched trace refused" `Quick
+            test_batched_trace_refused;
         ] );
       ( "model",
         [
-          Alcotest.test_case "train compiled = interp (plain)" `Quick
-            (train_compiled_equals_interp small_cfg "plain");
-          Alcotest.test_case "train compiled = interp (physics)" `Quick
-            (train_compiled_equals_interp physics_cfg "physics");
-          Alcotest.test_case "one-sample batch bitwise" `Quick
-            test_one_sample_batch_bitwise;
-          Alcotest.test_case "predict_batch bitwise" `Quick
-            test_predict_batch_bitwise;
+          Alcotest.test_case "batched calls seal no plan (plain)" `Quick
+            (test_batched_seal_no_plan small_cfg);
+          Alcotest.test_case "batched calls seal no plan (physics)" `Quick
+            (test_batched_seal_no_plan physics_cfg);
         ] );
       ( "sanitize",
         [
@@ -542,8 +499,6 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "compiled training domain determinism" `Quick
-            test_train_domains_compiled;
           Alcotest.test_case "table phase compiled = interp" `Quick
             test_table_compiled_equals_interp;
         ] );
