@@ -1,6 +1,6 @@
 # Convenience targets for the DiffTune reproduction.
 
-.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-guard bench-sampling clean doc quickstart
+.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-json-train bench-guard bench-sampling clean doc quickstart
 
 all: build
 
@@ -138,10 +138,16 @@ bench-json:
 bench-json-mca:
 	dune exec bench/main.exe -- perf-json-mca
 
-# Perf regression guard: re-measures surrogate.forward, mca.timing and
-# the tokenizer (min of three passes, per-key drift thresholds) against
-# the committed BENCH_PR*.json baselines (each key resolved from the
-# newest file that records it), and enforces the absolute bounds
+# Batched training row only (surrogate.train_batch.b8, minimum of three
+# passes) -> BENCH_PR23.json, the baseline bench-guard holds it to.
+bench-json-train:
+	dune exec bench/main.exe -- perf-json-train
+
+# Perf regression guard: re-measures surrogate.forward, mca.timing, the
+# tokenizer and surrogate.train_batch.b8 (min of three passes, per-key
+# drift thresholds) against the committed BENCH_PR*.json baselines
+# (each key resolved from the newest file that records it), and
+# enforces the absolute bounds
 # recorded there (per-sequence compiled speedup >= 1.5x, sanitize
 # overhead <= 15%, lifecycle shadow-scoring overhead <= 10%, zero
 # requests shed across a hot-swap, and the fleet load-test bounds:

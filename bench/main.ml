@@ -8,6 +8,7 @@
      dune exec bench/main.exe table4 fig5     # a subset
      dune exec bench/main.exe perf            # only the micro-benchmarks
      dune exec bench/main.exe perf-json-mca   # simulator rows -> BENCH_PR16.json
+     dune exec bench/main.exe perf-json-train # batched training row -> BENCH_PR23.json
      DIFFTUNE_SCALE=full dune exec bench/main.exe   # larger budgets *)
 
 module Experiments = Dt_exp.Experiments
@@ -710,6 +711,35 @@ let perf_json_mca () =
   print_endline "wrote BENCH_PR16.json";
   List.iter (fun (n, v) -> Printf.printf "%-48s %12.1f\n%!" n v) ns
 
+(* Per-key minimum over three passes of [estimates ~only:keys]: the
+   statistic bench-guard re-measures, so a transient load spike during
+   one pass moves neither a baseline nor a check. *)
+let min_of_three keys =
+  List.fold_left
+    (fun acc _ ->
+      let pass = estimates ~only:keys () in
+      List.map
+        (fun (k, v) ->
+          match List.assoc_opt k pass with
+          | Some v' -> (k, Float.min v v')
+          | None -> (k, v))
+        acc
+      @ List.filter (fun (k, _) -> not (List.mem_assoc k acc)) pass)
+    [] [ 1; 2; 3 ]
+
+(* The batched training row only (make bench-json-train): the baseline
+   bench-guard holds surrogate.train_batch.b8, one minibatch step of
+   the fused LSTM stacks, to. *)
+let perf_json_train () =
+  let ns = min_of_three [ "surrogate.train_batch.b8" ] in
+  let oc = open_out "BENCH_PR23.json" in
+  Printf.fprintf oc "{\n  \"pr\": 23,\n  \"ns_per_call\": {\n%s\n  }\n}\n"
+    (String.concat ",\n"
+       (List.map (fun (name, v) -> Printf.sprintf "    %S: %.1f" name v) ns));
+  close_out oc;
+  print_endline "wrote BENCH_PR23.json";
+  List.iter (fun (n, v) -> Printf.printf "%-48s %12.1f\n%!" n v) ns
+
 (* ---- perf regression guard (make bench-guard) ----
 
    Re-measures a small set of guarded rows and fails when any of them
@@ -725,9 +755,19 @@ let perf_json_mca () =
    the other two rows swing 30-40%.  The gates are wide enough to
    pass on a loaded box yet still catch a real 2x-class regression.
    mca.timing's baseline (BENCH_PR16) is the event-driven simulator's,
-   so a loop that visits every cycle (about 3x slower) fails its gate. *)
+   so a loop that visits every cycle (about 3x slower) fails its gate.
+   surrogate.train_batch.b8's baseline (BENCH_PR23) is the fused LSTM
+   stacks': eleven min-of-three runs on a 2-vCPU VM read 1.92-3.20 ms
+   against its 2.12 ms, and five of the per-step tape's read
+   3.85-4.59 ms, so +60% passes every one of the former and fails
+   every one of the latter. *)
 let guard_keys =
-  [ ("surrogate.forward", 1.5); ("mca.timing", 1.25); ("tokenizer", 1.6) ]
+  [
+    ("surrogate.forward", 1.5);
+    ("mca.timing", 1.25);
+    ("tokenizer", 1.6);
+    ("surrogate.train_batch.b8", 1.6);
+  ]
 
 (* Every BENCH_PR<n>.json in the working directory, newest (largest n,
    compared as a number) first.  Snapshots are cumulative per PR but not
@@ -814,22 +854,7 @@ let perf_guard () =
           baselines
       in
       Printf.printf "bench-guard: baselines %s\n%!" (String.concat ", " files);
-      (* Three passes, per-key minimum: a transient load spike during a
-         single pass should not fail the gate. *)
-      let keys = List.map fst guard_keys in
-      let current =
-        List.fold_left
-          (fun acc _ ->
-            let pass = estimates ~only:keys () in
-            List.map
-              (fun (k, v) ->
-                match List.assoc_opt k pass with
-                | Some v' -> (k, Float.min v v')
-                | None -> (k, v))
-              acc
-            @ List.filter (fun (k, _) -> not (List.mem_assoc k acc)) pass)
-          [] [ 1; 2; 3 ]
-      in
+      let current = min_of_three (List.map fst guard_keys) in
       let failures = ref [] in
       List.iter
         (fun (key, threshold) ->
@@ -915,6 +940,7 @@ let () =
     @ [ ("perf", fun _ -> perf ());
         ("perf-json", fun _ -> perf_json ());
         ("perf-json-mca", fun _ -> perf_json_mca ());
+        ("perf-json-train", fun _ -> perf_json_train ());
         ("perf-guard", fun _ -> perf_guard ());
         ("ablation_depth", fun _ -> ablation_depth ()) ]
   in

@@ -157,10 +157,10 @@ let tape_op_loop_rule =
     whitelist =
       [
         ( "lib/nn/nn.ml",
-          "LSTM/MLP step loops are the trace builders: batched steps run \
-           on the interpreter by design, and per-sequence steps record \
-           under the Ad.with_plan keys of table descent and the Ithemal \
-           fit and replay there" );
+          "the per-sequence LSTM step loop is the trace builder that \
+           table descent and the Ithemal fit record under their \
+           Ad.with_plan keys and replay; a batched stack is one \
+           Ad.lstm_batch node, built without a step loop" );
         ( "lib/surrogate/model.ml",
           "the batched entry points run their traces on the interpreter \
            by design (a minibatch's shape profile seldom recurs); the \
@@ -697,7 +697,8 @@ let lint_ast ~path ?only ast =
               | "slice" | "sigmoid" | "tanh_" | "relu" | "exp_" | "affine"
               | "max2" | "div" | "sum_all" | "reduce_max" | "abs_" | "scale"
               | "mape" | "add_row" | "stack_rows" | "cols" | "concat_cols"
-              | "row_blend" | "mape_batch" | "constant" | "scalar" )
+              | "row_blend" | "mape_batch" | "lstm_batch" | "constant"
+              | "scalar" )
               when is_ad ->
                 add tape_op_loop_rule loc
                   (Printf.sprintf

@@ -52,6 +52,22 @@ and op =
   | ConcatCols of node array (* horizontal concat of [B x *] blocks *)
   | RowBlend of node * node * float array (* mask row-selects a / b *)
   | MapeBatch of node * float array (* pred [B x 1], per-row targets *)
+  | LstmBatch of lstm (* a whole batched LSTM stack; see [lstm_batch] *)
+
+(* The workspace [lws] from [lbase], in floats, with s = batch x hidden:
+   layer l's zero initial h and c at 2ls and (2l + 1)s, then for step t
+   and layer l a block of 7s at 2Ls + 7s(tL + l): the activated gates
+   i f g o (a [batch x 4 hidden] matrix), tanh of the new cell state,
+   and the blended h and c.  The op's value is the last block's h of the
+   top layer. *)
+and lstm = {
+  lcells : (node * node * node) array; (* per layer: wx, wh, bias *)
+  linputs : node array; (* per step: [batch x input] *)
+  lmasks : float array option array; (* per step; None = every row live *)
+  lhidden : int;
+  lws : T.buf;
+  lbase : int;
+}
 
 and ctx = {
   mutable buf : T.buf; (* arena; abandoned (not copied) on growth *)
@@ -256,6 +272,7 @@ let op_name = function
   | ConcatCols _ -> "concat_cols"
   | RowBlend _ -> "row_blend"
   | MapeBatch _ -> "mape_batch"
+  | LstmBatch _ -> "lstm_batch"
 
 let operands = function
   | Leaf | Const -> []
@@ -279,6 +296,11 @@ let operands = function
       [ a ]
   | Concat parts | ConcatCols parts -> Array.to_list parts
   | StackRows parts -> Array.to_list (Array.map fst parts)
+  | LstmBatch r ->
+      Array.to_list r.linputs
+      @ List.concat_map
+          (fun (wx, wh, b) -> [ wx; wh; b ])
+          (Array.to_list r.lcells)
 
 let shape_str (t : T.t) = Printf.sprintf "%dx%d" t.T.rows t.T.cols
 
@@ -319,8 +341,8 @@ let san_same ctx name a b =
 
 (* Post-op poison scan: an output element holding the poison payload
    means the op read memory never written since the last reset. *)
-let san_output name n =
-  (match T.find_poison n.value with
+let san_scan name t =
+  match T.find_poison t with
   | Some k ->
       raise
         (Uninitialized_read
@@ -329,8 +351,11 @@ let san_output name n =
                pattern; the op read uninitialized or recycled workspace \
                memory (use-before-write, e.g. a beta-accumulating gemv \
                into a fresh slot)"
-              name k (shape_str n.value)))
-  | None -> ());
+              name k (shape_str t)))
+  | None -> ()
+
+let san_output name n =
+  san_scan name n.value;
   n
 
 let scalar_value n =
@@ -439,6 +464,294 @@ let unary_backward kind ~v ~n =
           (Bigarray.Array1.unsafe_get vd (vo + i)
           +. (Bigarray.Array1.unsafe_get gd (go + i) *. m))
       done
+
+(* ---- the fused batched LSTM stack ----
+
+   [lstm_batch] records a whole stacked LSTM over B right-padded
+   sequences as one node.  It computes exactly what the per-step
+   composition computes -- per cell step two matmuls, add, add_row,
+   four column slices through sigmoid/tanh, f*c + i*g, tanh, o*tanh(c')
+   and the row blends -- with every float seeing the same operations in
+   the same order, so values and gradients keep their bits:
+
+   - forward: each weight is packed as its transpose once per call, not
+     once per step, and the bias add, gates, cell update and mask blend
+     of a step run as one pass over its two gemm outputs;
+   - backward: one reverse sweep over the steps (top layer first within
+     a step, as on the tape) writes each step's gate gradients and
+     accumulates the h and c adjoints through ping-pong buffers, adding
+     input gradients as it goes; every weight gradient term is applied
+     after the sweep, in the tape's order (last step first), with one
+     multi-term gemm_tn per weight.  Nothing reads a weight gradient
+     during the sweep, so the deferral moves no bit.
+
+   Where the tape adds a product into a freshly zeroed adjoint, the
+   sweep writes [0.0 +. product]: that add maps -0.0 to +0.0.  It is
+   dropped where the operand is itself such a sum, which is never -0.0,
+   so the add could not change a bit. *)
+
+let[@inline always] ld (d : T.buf) k = Bigarray.Array1.unsafe_get d k
+let[@inline always] st (d : T.buf) k v = Bigarray.Array1.unsafe_set d k v
+
+(* Per-domain scratch for the packed weights and gemm outputs (forward)
+   and the gate gradients and state adjoints (backward); grown
+   geometrically, never shared across domains. *)
+let lstm_scratch_key =
+  Domain.DLS.new_key (fun () ->
+      ref (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0))
+
+let lstm_scratch n =
+  let r = Domain.DLS.get lstm_scratch_key in
+  let cap = Bigarray.Array1.dim !r in
+  if cap < n then
+    r :=
+      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+        (max n (2 * cap));
+  !r
+
+type lstm_geom = {
+  nl : int; (* layers *)
+  nt : int; (* steps *)
+  batch : int;
+  hd : int; (* hidden *)
+  s : int; (* batch * hidden: one state matrix *)
+}
+
+let lstm_geom r batch =
+  let nl = Array.length r.lcells and nt = Array.length r.linputs in
+  { nl; nt; batch; hd = r.lhidden; s = batch * r.lhidden }
+
+(* Workspace offsets (see [lstm]); step -1 is the zero initial state. *)
+let lw_block r g l t =
+  r.lbase + (2 * g.nl * g.s) + (7 * g.s * ((t * g.nl) + l))
+let lw_gates r g l t = lw_block r g l t
+let lw_tanh_c r g l t = lw_block r g l t + (4 * g.s)
+
+let lw_h r g l t =
+  if t < 0 then r.lbase + (2 * l * g.s) else lw_block r g l t + (5 * g.s)
+
+let lw_c r g l t =
+  if t < 0 then r.lbase + (((2 * l) + 1) * g.s)
+  else lw_block r g l t + (6 * g.s)
+
+let lw_view r g off ~cols = T.of_buf r.lws ~off ~rows:g.batch ~cols
+
+(* One of the op's forward gemms.  It consults the ad.gemm_beta fault
+   site as [matmul] does; under sanitize its scratch destination is
+   poisoned first and scanned after, so a beta-accumulating read of it
+   is reported at this op. *)
+let lstm_gemm ~a ~bt ~c =
+  let beta = if Dt_util.Faultsim.fire "ad.gemm_beta" then 1.0 else 0.0 in
+  if !sanitize then T.fill_poison_buf c.T.data ~pos:c.T.off ~len:(T.size c);
+  G.gemm_nt_packed ~a ~bt ~c ~beta;
+  if !sanitize then san_scan "lstm_batch" c
+
+(* One cell step over its gemm outputs [xp] (input part) and [hp]
+   (recurrent part), both contiguous [batch x 4 hidden] in [sc]:
+   z = (xp + hp) + b, i f o = sigmoid, g = tanh, c' = f c + i g,
+   h' = o tanh c', then the blend that keeps a padded row's previous
+   state. *)
+let lstm_cell_forward r g ~l ~t ~mask ~sc ~xp ~hp =
+  let hd = g.hd and g4 = 4 * g.hd in
+  let _, _, bias = r.lcells.(l) in
+  let bd = bias.value.T.data and bo = bias.value.T.off in
+  let ws = r.lws in
+  let gates = lw_gates r g l t and tco = lw_tanh_c r g l t in
+  let ho = lw_h r g l t and co = lw_c r g l t in
+  let hpo = lw_h r g l (t - 1) and cpo = lw_c r g l (t - 1) in
+  for row = 0 to g.batch - 1 do
+    let live =
+      match mask with None -> true | Some m -> not (Float.equal m.(row) 0.0)
+    in
+    let zx = xp + (row * g4) and zh = hp + (row * g4) in
+    let gr = gates + (row * g4) in
+    for j = 0 to hd - 1 do
+      let zi = (ld sc (zx + j) +. ld sc (zh + j)) +. ld bd (bo + j) in
+      let zf =
+        (ld sc (zx + hd + j) +. ld sc (zh + hd + j)) +. ld bd (bo + hd + j)
+      in
+      let zg =
+        (ld sc (zx + (2 * hd) + j) +. ld sc (zh + (2 * hd) + j))
+        +. ld bd (bo + (2 * hd) + j)
+      in
+      let zo =
+        (ld sc (zx + (3 * hd) + j) +. ld sc (zh + (3 * hd) + j))
+        +. ld bd (bo + (3 * hd) + j)
+      in
+      let i = 1.0 /. (1.0 +. exp (-.zi)) in
+      let f = 1.0 /. (1.0 +. exp (-.zf)) in
+      let gg = fast_tanh zg in
+      let o = 1.0 /. (1.0 +. exp (-.zo)) in
+      st ws (gr + j) i;
+      st ws (gr + hd + j) f;
+      st ws (gr + (2 * hd) + j) gg;
+      st ws (gr + (3 * hd) + j) o;
+      let k = (row * hd) + j in
+      let c' = (f *. ld ws (cpo + k)) +. (i *. gg) in
+      let tc = fast_tanh c' in
+      st ws (tco + k) tc;
+      if live then begin
+        st ws (ho + k) (o *. tc);
+        st ws (co + k) c'
+      end
+      else begin
+        st ws (ho + k) (ld ws (hpo + k));
+        st ws (co + k) (ld ws (cpo + k))
+      end
+    done
+  done
+
+let lstm_forward r (n : node) =
+  let g = lstm_geom r n.value.T.rows in
+  let g4 = 4 * g.hd in
+  let packed_size =
+    Array.fold_left
+      (fun acc (wx, _, _) -> acc + ((wx.value.T.cols + g.hd) * g4))
+      0 r.lcells
+  in
+  let sc = lstm_scratch (packed_size + (2 * g.batch * g4)) in
+  let pos = ref 0 in
+  let pack w =
+    let dst = T.of_buf sc ~off:!pos ~rows:w.value.T.cols ~cols:g4 in
+    G.transpose_into ~src:w.value ~dst;
+    pos := !pos + T.size dst;
+    dst
+  in
+  let packed =
+    Array.map
+      (fun (wx, wh, _) ->
+        let px = pack wx in
+        (px, pack wh))
+      r.lcells
+  in
+  let hp = packed_size and xp = packed_size + (g.batch * g4) in
+  let hp_t = T.of_buf sc ~off:hp ~rows:g.batch ~cols:g4 in
+  let xp_t = T.of_buf sc ~off:xp ~rows:g.batch ~cols:g4 in
+  T.zero_ (T.of_buf r.lws ~off:r.lbase ~rows:1 ~cols:(2 * g.nl * g.s));
+  for t = 0 to g.nt - 1 do
+    for l = 0 to g.nl - 1 do
+      let pwx, pwh = packed.(l) in
+      let x =
+        if l = 0 then r.linputs.(t).value
+        else lw_view r g (lw_h r g (l - 1) t) ~cols:g.hd
+      in
+      (* recurrent part first, as the tape built it *)
+      lstm_gemm
+        ~a:(lw_view r g (lw_h r g l (t - 1)) ~cols:g.hd)
+        ~bt:pwh ~c:hp_t;
+      lstm_gemm ~a:x ~bt:pwx ~c:xp_t;
+      lstm_cell_forward r g ~l ~t ~mask:r.lmasks.(t) ~sc ~xp ~hp
+    done
+  done
+
+(* One cell step of the reverse sweep.  Reads the adjoints of this
+   step's h and c at [dh]/[dc] (complete: every later consumer has run)
+   and writes the gate gradients dz, which are also the adjoints of z,
+   of both matmul outputs and of the bias add.  Unless this is the
+   first step it starts the previous step's adjoints at [dh']/[dc'] the
+   way the tape starts them: a padded row receives this step's adjoint
+   through the blend, then c's previous state its f c term; the
+   recurrent matmul's term is added by the caller. *)
+let lstm_cell_backward r g ~l ~t ~mask ~sc ~dz ~dh ~dc ~dh' ~dc' =
+  let hd = g.hd and g4 = 4 * g.hd in
+  let ws = r.lws in
+  let gates = lw_gates r g l t and tco = lw_tanh_c r g l t in
+  let cpo = lw_c r g l (t - 1) in
+  for row = 0 to g.batch - 1 do
+    let live =
+      match mask with None -> true | Some m -> not (Float.equal m.(row) 0.0)
+    in
+    let gr = gates + (row * g4) and zr = dz + (row * g4) in
+    for j = 0 to hd - 1 do
+      let k = (row * hd) + j in
+      let i = ld ws (gr + j)
+      and f = ld ws (gr + hd + j)
+      and gg = ld ws (gr + (2 * hd) + j)
+      and o = ld ws (gr + (3 * hd) + j)
+      and tc = ld ws (tco + k) in
+      (* a padded row's h' and c' receive nothing from the blend *)
+      let dh_new = if live then ld sc (dh + k) else 0.0 in
+      let d_o = 0.0 +. (dh_new *. tc) in
+      let d_tc = 0.0 +. (dh_new *. o) in
+      let d_c' =
+        (if live then ld sc (dc + k) else 0.0) +. (d_tc *. (1.0 -. (tc *. tc)))
+      in
+      let d_f = 0.0 +. (d_c' *. ld ws (cpo + k)) in
+      let d_i = 0.0 +. (d_c' *. gg) in
+      let d_g = 0.0 +. (d_c' *. i) in
+      if t > 0 then begin
+        if live then begin
+          st sc (dh' + k) 0.0;
+          st sc (dc' + k) (0.0 +. (d_c' *. f))
+        end
+        else begin
+          st sc (dh' + k) (ld sc (dh + k));
+          st sc (dc' + k) (ld sc (dc + k) +. (d_c' *. f))
+        end
+      end;
+      st sc (zr + j) (0.0 +. ((d_i *. i) *. (1.0 -. i)));
+      st sc (zr + hd + j) (0.0 +. ((d_f *. f) *. (1.0 -. f)));
+      st sc (zr + (2 * hd) + j) (0.0 +. (d_g *. (1.0 -. (gg *. gg))));
+      st sc (zr + (3 * hd) + j) (0.0 +. ((d_o *. o) *. (1.0 -. o)))
+    done
+  done
+
+let lstm_backward r (n : node) =
+  let g = lstm_geom r n.value.T.rows in
+  let g4 = 4 * g.hd in
+  let zsize = g.nt * g.nl * g.batch * g4 in
+  let sc = lstm_scratch (zsize + (4 * g.nl * g.s)) in
+  let dz l t = ((t * g.nl) + l) * g.batch * g4 in
+  let dz_t l t = T.of_buf sc ~off:(dz l t) ~rows:g.batch ~cols:g4 in
+  (* ping-pong adjoints of each layer's h and c: [cur.(l)] holds the
+     step being swept, the other slot the step before it *)
+  let dh l k = zsize + (((2 * l) + k) * g.s) in
+  let dc l k = zsize + (2 * g.nl * g.s) + (((2 * l) + k) * g.s) in
+  let state_t off = T.of_buf sc ~off ~rows:g.batch ~cols:g.hd in
+  let cur = Array.make g.nl 0 in
+  T.zero_ (T.of_buf sc ~off:zsize ~rows:1 ~cols:(4 * g.nl * g.s));
+  T.blit ~src:n.grad ~dst:(state_t (dh (g.nl - 1) 0));
+  for t = g.nt - 1 downto 0 do
+    for l = g.nl - 1 downto 0 do
+      let wx, wh, _ = r.lcells.(l) in
+      let c = cur.(l) in
+      lstm_cell_backward r g ~l ~t ~mask:r.lmasks.(t) ~sc ~dz:(dz l t)
+        ~dh:(dh l c) ~dc:(dc l c) ~dh':(dh l (1 - c)) ~dc':(dc l (1 - c));
+      let d = dz_t l t in
+      (* input part first, as the tape runs it *)
+      G.gemm ~a:d ~b:wx.value
+        ~c:
+          (if l = 0 then r.linputs.(t).grad
+           else state_t (dh (l - 1) cur.(l - 1)))
+        ~beta:1.0;
+      if t > 0 then
+        G.gemm ~a:d ~b:wh.value ~c:(state_t (dh l (1 - c))) ~beta:1.0;
+      cur.(l) <- 1 - c
+    done
+  done;
+  for l = 0 to g.nl - 1 do
+    let wx, wh, bias = r.lcells.(l) in
+    let last_first f = Array.init g.nt (fun k -> f (g.nt - 1 - k)) in
+    G.gemm_tn_sum ~c:wx.grad
+      ~terms:
+        (last_first (fun t ->
+             ( dz_t l t,
+               if l = 0 then r.linputs.(t).value
+               else lw_view r g (lw_h r g (l - 1) t) ~cols:g.hd )));
+    G.gemm_tn_sum ~c:wh.grad
+      ~terms:
+        (last_first (fun t ->
+             (dz_t l t, lw_view r g (lw_h r g l (t - 1)) ~cols:g.hd)));
+    let bg = bias.grad.T.data and bo = bias.grad.T.off in
+    for t = g.nt - 1 downto 0 do
+      for row = 0 to g.batch - 1 do
+        let zr = dz l t + (row * g4) in
+        for j = 0 to g4 - 1 do
+          st bg (bo + j) (ld bg (bo + j) +. ld sc (zr + j))
+        done
+      done
+    done
+  done
 
 (* ---- shared forward execution ----
 
@@ -551,6 +864,7 @@ let exec_forward n =
           (nv.T.off + (i * nv.T.rs))
           (Float.abs (p -. targets.(i)) /. targets.(i))
       done
+  | LstmBatch r -> lstm_forward r n
 
 (* Carve a fresh value slot out of the arena.  On overflow the old chunk
    is abandoned, not copied: live nodes keep views into it, so it stays
@@ -1061,6 +1375,77 @@ let mape_batch ctx pred ~targets =
   if !sanitize then ignore (san_output "mape_batch" n);
   n
 
+let lstm_batch ctx ~cells ~batch steps =
+  interp_only ctx "lstm_batch";
+  let bad fmt =
+    Printf.ksprintf
+      (fun m ->
+        let m = "Ad.lstm_batch: " ^ m in
+        if !sanitize then raise (Shape_error m) else invalid_arg m)
+      fmt
+  in
+  if steps = [] then invalid_arg "Ad.lstm_batch: empty sequence";
+  if Array.length cells = 0 then invalid_arg "Ad.lstm_batch: no layers";
+  if batch <= 0 then invalid_arg "Ad.lstm_batch: batch must be positive";
+  let wx0, wh0, _ = cells.(0) in
+  let hd = wh0.value.T.cols and input = wx0.value.T.cols in
+  Array.iteri
+    (fun l (wx, wh, b) ->
+      let width = if l = 0 then input else hd in
+      if
+        wx.value.T.rows <> 4 * hd
+        || wx.value.T.cols <> width
+        || wh.value.T.rows <> 4 * hd
+        || wh.value.T.cols <> hd
+        || b.value.T.rows <> 1
+        || b.value.T.cols <> 4 * hd
+      then
+        bad "layer %d has wx %s, wh %s, b %s; expected %dx%d, %dx%d, 1x%d" l
+          (shape_str wx.value) (shape_str wh.value) (shape_str b.value)
+          (4 * hd) width (4 * hd) hd (4 * hd))
+    cells;
+  (* Each weight gradient is summed after the sweep, which matches the
+     tape's order only if no node plays two weight roles. *)
+  let rec distinct = function
+    | [] -> true
+    | w :: rest -> (not (List.memq w rest)) && distinct rest
+  in
+  let weights =
+    List.concat_map (fun (wx, wh, b) -> [ wx; wh; b ]) (Array.to_list cells)
+  in
+  if not (distinct weights) then
+    invalid_arg "Ad.lstm_batch: a weight node appears twice";
+  let steps = Array.of_list steps in
+  Array.iteri
+    (fun t (x, mask) ->
+      if x.value.T.rows <> batch || x.value.T.cols <> input then
+        bad "step %d input is %s, expected %dx%d (batch x input width)" t
+          (shape_str x.value) batch input;
+      match mask with
+      | Some m when Array.length m <> batch ->
+          bad "step %d mask has %d entries, expected %d (the batch)" t
+            (Array.length m) batch
+      | _ -> ())
+    steps;
+  let nl = Array.length cells and nt = Array.length steps in
+  let ws = alloc ctx ~rows:1 ~cols:(((2 * nl) + (7 * nl * nt)) * batch * hd) in
+  let r =
+    {
+      lcells = cells;
+      linputs = Array.map fst steps;
+      lmasks = Array.map snd steps;
+      lhidden = hd;
+      lws = ws.T.data;
+      lbase = ws.T.off;
+    }
+  in
+  let g = lstm_geom r batch in
+  let top = lw_view r g (lw_h r g (nl - 1) (nt - 1)) ~cols:hd in
+  let n = make_view ctx ~view:top ~rows:batch ~cols:hd (LstmBatch r) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "lstm_batch" n);
+  n
+
 (* ---- reverse pass ---- *)
 
 let backprop n =
@@ -1195,6 +1580,7 @@ let backprop n =
           +. (Bigarray.Array1.unsafe_get g.T.data (g.T.off + (i * g.T.rs))
               *. sign /. targets.(i)))
       done
+  | LstmBatch r -> lstm_backward r n
 
 (* ---- gradient-flow audit ----
 
@@ -1577,7 +1963,7 @@ let seal ctx ~root =
       | ReduceMax (v, bi) -> ReduceMax (map v, bi)
       | Mape (p, t) -> Mape (map p, t)
       | Matmul _ | AddRow _ | StackRows _ | ColSlice _ | ConcatCols _
-      | RowBlend _ | MapeBatch _ ->
+      | RowBlend _ | MapeBatch _ | LstmBatch _ ->
           assert false
     in
     let rows = o.value.T.rows and cols = o.value.T.cols in
@@ -1755,7 +2141,7 @@ let reject_batched ctx =
   for i = 0 to ctx.count - 1 do
     match ctx.tape.(i).op with
     | ( Matmul _ | AddRow _ | StackRows _ | ColSlice _ | ConcatCols _
-      | RowBlend _ | MapeBatch _ ) as op ->
+      | RowBlend _ | MapeBatch _ | LstmBatch _ ) as op ->
         invalid_arg
           (Printf.sprintf
              "Ad.with_plan: the trace holds a batched op (%s); batched \

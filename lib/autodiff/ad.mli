@@ -203,6 +203,30 @@ val row_blend : ctx -> mask:float array -> node -> node -> node
     losses.  Every target must be positive. *)
 val mape_batch : ctx -> node -> targets:float array -> node
 
+(** [lstm_batch ctx ~cells ~batch steps] — a stacked LSTM over [batch]
+    right-padded sequences, recorded as one node whose value is the top
+    layer's final [batch x hidden] state.  [cells.(l) = (wx, wh, b)] are
+    layer [l]'s weights ([4h x input], [4h x h], [1 x 4h]; gates in
+    [i f g o] order; every node distinct); each step is a
+    [batch x input] node and an optional mask, where a row whose mask
+    is 0 is padding and keeps its previous h and c.
+
+    Values and gradients are bit for bit those of the per-step
+    composition — per layer and step [matmul] x wx and h wh, [add],
+    [add_row] b, four column slices through sigmoid/tanh,
+    [f c + i g], [o tanh c'], and [row_blend]s (none for the final c) —
+    but each weight is packed once per call, a step's elementwise work
+    is one pass, and each weight gradient is summed in one pass after
+    the reverse sweep.  Its forward gemms consult the [ad.gemm_beta]
+    fault site; sanitize mode reports a malformed input width, mask
+    length or batch as {!Shape_error}. *)
+val lstm_batch :
+  ctx ->
+  cells:(node * node * node) array ->
+  batch:int ->
+  (node * float array option) list ->
+  node
+
 (** [backward ctx loss] seeds the loss adjoint with 1 and runs the tape in
     reverse, accumulating into every reachable gradient buffer.
 

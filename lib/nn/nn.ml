@@ -173,63 +173,20 @@ module Lstm = struct
       inputs;
     fst states.(Array.length states - 1)
 
-  (* One batched LSTM step over [B x *] matrices.  Identical structure
-     to [step]; each op is the matrix analogue of the vector op, and the
-     gemm kernels guarantee row i of every intermediate equals the
-     per-sequence path on sequence i bit for bit. *)
-  let step_batch cell ctx ~x ~h ~c =
-    let h_part = Ad.matmul ctx ~x:h ~w:cell.wh in
-    let x_part = Ad.matmul ctx ~x ~w:cell.wx in
-    let z = Ad.add_row ctx (Ad.add ctx x_part h_part) ~bias:cell.b in
-    let hd = cell.hidden in
-    let i = Ad.sigmoid ctx (Ad.cols ctx z ~pos:0 ~len:hd) in
-    let f = Ad.sigmoid ctx (Ad.cols ctx z ~pos:hd ~len:hd) in
-    let g = Ad.tanh_ ctx (Ad.cols ctx z ~pos:(2 * hd) ~len:hd) in
-    let o = Ad.sigmoid ctx (Ad.cols ctx z ~pos:(3 * hd) ~len:hd) in
-    let c' = Ad.add ctx (Ad.mul ctx f c) (Ad.mul ctx i g) in
-    let h' = Ad.mul ctx o (Ad.tanh_ ctx c') in
-    (h', c')
-
-  (* Batched stacked LSTM over right-padded sequences.  Each timestep
-     carries a [batch x input] matrix plus an optional mask; rows whose
-     mask is 0 are padding, and [row_blend] copies the previous h/c for
-     them instead of the new state — copied, never recomputed, so a
-     sequence's final state (and its gradient path) is bit-identical to
-     running it alone.  Padded input rows must be written (e.g. zeros),
-     not left uninitialized: the kernels still read them even though the
-     blend discards the result.  Returns the top layer's final h
-     ([batch x hidden]); with right-padding and masks, row i is the
-     summary of sequence i at its own true length. *)
+  (* Batched stacked LSTM over right-padded sequences: one
+     [Ad.lstm_batch] node for the whole stack.  Rows whose mask is 0 are
+     padding and keep the previous h/c by copy, so a sequence's final
+     state (and its gradient path) is bit-identical to running it alone.
+     Padded input rows must be written (e.g. zeros), not left
+     uninitialized: the kernels still read them even though the blend
+     discards the result.  Returns the top layer's final h
+     ([batch x hidden]). *)
   let forward_batch t ctx ~batch inputs =
     if inputs = [] then invalid_arg "Lstm.forward_batch: empty sequence";
     if batch <= 0 then invalid_arg "Lstm.forward_batch: batch must be positive";
-    let zeros () = Ad.constant ctx (T.zeros ~rows:batch ~cols:t.hidden) in
-    let states = Array.map (fun _ -> (zeros (), zeros ())) t.cells in
-    let n_steps = List.length inputs in
-    List.iteri
-      (fun step (input, mask) ->
-        let last = step = n_steps - 1 in
-        let x = ref input in
-        Array.iteri
-          (fun l cell ->
-            let h, c = states.(l) in
-            let h', c' = step_batch cell ctx ~x:!x ~h ~c in
-            let blended =
-              match mask with
-              | None -> (h', c')
-              | Some m ->
-                  (* After the final timestep only [h] is read, so the
-                     cell state needs no blend there — and an unread
-                     blended node would (rightly) trip the gradient-flow
-                     audit as dead. *)
-                  ( Ad.row_blend ctx ~mask:m h' h,
-                    if last then c' else Ad.row_blend ctx ~mask:m c' c )
-            in
-            states.(l) <- blended;
-            x := fst blended)
-          t.cells)
-      inputs;
-    fst states.(Array.length states - 1)
+    Ad.lstm_batch ctx ~batch
+      ~cells:(Array.map (fun c -> (c.wx, c.wh, c.b)) t.cells)
+      inputs
 end
 
 module Optimizer = struct

@@ -113,7 +113,7 @@ module Lstm : sig
       to {!forward} on that sequence alone, and padded rows contribute
       exactly zero gradient.  Padded input rows must still hold defined
       values (zeros).  Returns the top layer's final [batch x hidden]
-      state. *)
+      state; the whole stack is one {!Ad.lstm_batch} node. *)
   val forward_batch :
     t -> Ad.ctx -> batch:int -> (Ad.node * float array option) list -> Ad.node
 end

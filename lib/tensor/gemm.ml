@@ -1,7 +1,7 @@
 (* Matrix-matrix kernels for the batched compute path.
 
    Shape checking, beta handling, and scratch management live here in
-   OCaml; the two inner kernels live in gemm_stubs.c, compiled with
+   OCaml; the inner kernels live in gemm_stubs.c, compiled with
    auto-vectorization enabled but floating-point contraction and
    reassociation disabled (-O3 -ffp-contract=off, no -ffast-math in
    lib/tensor/dune).  ocamlopt emits only scalar float code, which caps
@@ -50,22 +50,38 @@ external acc_stub :
   unit = "caml_dt_gemm_acc_bc" "caml_dt_gemm_acc"
 [@@noalloc]
 
-external nt_stub :
+external pack_stub : buf -> int -> int -> int -> int -> buf -> int -> unit
+  = "caml_dt_pack_t_bc" "caml_dt_pack_t"
+[@@noalloc]
+
+external nt_packed_stub :
   buf ->
   int ->
   int ->
   buf ->
   int ->
-  int ->
   buf ->
   int ->
   int ->
-  buf ->
   int ->
   int ->
   int ->
   float ->
-  unit = "caml_dt_gemm_nt_bc" "caml_dt_gemm_nt"
+  unit = "caml_dt_gemm_nt_packed_bc" "caml_dt_gemm_nt_packed"
+[@@noalloc]
+
+external tn_sum_stub :
+  buf ->
+  int ->
+  int ->
+  buf array ->
+  int array ->
+  buf array ->
+  int array ->
+  int ->
+  int ->
+  int ->
+  unit = "caml_dt_gemm_tn_sum_bc" "caml_dt_gemm_tn_sum"
 [@@noalloc]
 
 let bad name = invalid_arg ("Gemm." ^ name ^ ": shape mismatch")
@@ -129,10 +145,49 @@ let gemm_tn ~a ~b ~c ~beta =
   acc_stub c.data c.off c.rs a.data a.off 1 a.rs b.data b.off b.rs a.cols
     b.cols a.rows
 
+(* Multi-term gemm_tn: c += sum_t a_t^T b_t, each element accumulating
+   the terms in array order exactly as one [gemm_tn ~beta:1.0] call per
+   term would, with the running sums held in registers across terms. *)
+let gemm_tn_sum ~c ~terms =
+  let nt = Array.length terms in
+  if nt > 0 then begin
+    let k = (fst terms.(0)).rows in
+    Array.iter
+      (fun (a, b) ->
+        if a.rows <> k || b.rows <> k then bad "gemm_tn_sum (inner)";
+        if c.rows <> a.cols || c.cols <> b.cols then bad "gemm_tn_sum (output)")
+      terms;
+    let geo pick =
+      Array.init (2 * nt) (fun i ->
+          let t = pick terms.(i / 2) in
+          if i land 1 = 0 then t.off else t.rs)
+    in
+    tn_sum_stub c.data c.off c.rs
+      (Array.map (fun (a, _) -> a.data) terms)
+      (geo fst)
+      (Array.map (fun (_, b) -> b.data) terms)
+      (geo snd) c.rows c.cols k
+  end
+
+(* gemm_nt streams over b^T; [transpose_into] packs it once for callers
+   that multiply against the same b many times ([gemm_nt_packed]), and
+   [gemm_nt] packs into this domain's scratch on every call. *)
+let transpose_into ~src ~dst =
+  if dst.rows <> src.cols || dst.cols <> src.rows then bad "transpose_into";
+  if dst.rs <> dst.cols then bad "transpose_into (strided destination)";
+  pack_stub src.data src.off src.rs src.rows src.cols dst.data dst.off
+
+let gemm_nt_packed ~a ~bt ~c ~beta =
+  if a.cols <> bt.rows then bad "gemm_nt_packed (inner)";
+  if c.rows <> a.rows || c.cols <> bt.cols then bad "gemm_nt_packed (output)";
+  if bt.rs <> bt.cols then bad "gemm_nt_packed (strided packed operand)";
+  nt_packed_stub a.data a.off a.rs bt.data bt.off c.data c.off c.rs a.rows
+    bt.cols a.cols beta
+
 let gemm_nt ~a ~b ~c ~beta =
   if a.cols <> b.cols then bad "gemm_nt (inner)";
   if c.rows <> a.rows || c.cols <> b.rows then bad "gemm_nt (output)";
   let k = a.cols and m = a.rows and n = b.rows in
   let scratch = pack_buffer (k * n) in
-  nt_stub a.data a.off a.rs b.data b.off b.rs c.data c.off c.rs scratch m n k
-    beta
+  pack_stub b.data b.off b.rs n k scratch 0;
+  nt_packed_stub a.data a.off a.rs scratch 0 c.data c.off c.rs m n k beta

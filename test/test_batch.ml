@@ -162,6 +162,51 @@ let test_gemm_nt_gemv_bits () =
     done
   done
 
+(* gemm_tn_sum's contract: the multi-term sum is one beta-1 gemm_tn per
+   term, bit for bit.  A third of the coefficients are zero (whole
+   four-row blocks included, so the skip rule runs) and some b entries
+   are infinite, which makes skipping observable; column counts cover
+   the 16-wide chunks and their tails. *)
+let test_gemm_tn_sum_bits () =
+  let rng = Rng.create 29 in
+  let widths = [| 1; 3; 16; 17; 32; 33; 49 |] in
+  for trial = 1 to 600 do
+    let nterms = 1 + Rng.int rng 12
+    and k = 1 + Rng.int rng 9
+    and m = 1 + Rng.int rng 9
+    and n = widths.(trial mod Array.length widths) in
+    let coef () =
+      let a = maybe_strided rng ~rows:k ~cols:m in
+      for l = 0 to k - 1 do
+        let zero_row = Rng.int rng 6 = 0 in
+        for i = 0 to m - 1 do
+          if zero_row || Rng.int rng 3 = 0 then T.set a l i 0.0
+        done
+      done;
+      a
+    in
+    let operand () =
+      let b = maybe_strided rng ~rows:k ~cols:n in
+      if Rng.int rng 4 = 0 then
+        T.set b (Rng.int rng k) (Rng.int rng n) Float.infinity;
+      b
+    in
+    let terms = Array.init nterms (fun _ -> (coef (), operand ())) in
+    let c = maybe_strided rng ~rows:m ~cols:n in
+    T.set c 0 0 (-0.0);
+    let expect = T.copy c in
+    Array.iter (fun (a, b) -> G.gemm_tn ~a ~b ~c:expect ~beta:1.0) terms;
+    G.gemm_tn_sum ~c ~terms;
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        check_bits
+          (Printf.sprintf "trial %d (%d terms, k %d, %dx%d) at (%d,%d)" trial
+             nterms k m n i j)
+          (T.get expect i j) (T.get c i j)
+      done
+    done
+  done
+
 (* ---- batched LSTM vs per-sequence oracle ---- *)
 
 (* Mixed-length sequences in one padded batch: every final state row
@@ -218,6 +263,178 @@ let test_lstm_batch_equals_sequential () =
             (T.get (Ad.value h) r j))
         expect)
     seq_final
+
+(* ---- the fused stack vs the per-step composition ----
+
+   [Ad.lstm_batch] replaces, per layer and timestep, the composition
+   below and its masked loop; the composition stays here as the bitwise
+   reference and nothing in the library calls it. *)
+
+let reference_step ctx (wx, wh, b) ~hd ~x ~h ~c =
+  let h_part = Ad.matmul ctx ~x:h ~w:wh in
+  let x_part = Ad.matmul ctx ~x ~w:wx in
+  let z = Ad.add_row ctx (Ad.add ctx x_part h_part) ~bias:b in
+  let i = Ad.sigmoid ctx (Ad.cols ctx z ~pos:0 ~len:hd) in
+  let f = Ad.sigmoid ctx (Ad.cols ctx z ~pos:hd ~len:hd) in
+  let g = Ad.tanh_ ctx (Ad.cols ctx z ~pos:(2 * hd) ~len:hd) in
+  let o = Ad.sigmoid ctx (Ad.cols ctx z ~pos:(3 * hd) ~len:hd) in
+  let c' = Ad.add ctx (Ad.mul ctx f c) (Ad.mul ctx i g) in
+  let h' = Ad.mul ctx o (Ad.tanh_ ctx c') in
+  (h', c')
+
+(* Padded rows keep the previous state through row blends; after the
+   final step only h is read, so the cell state is not blended there. *)
+let reference_lstm ctx cells ~batch ~hd steps =
+  let zeros () = Ad.constant ctx (T.zeros ~rows:batch ~cols:hd) in
+  let states = Array.map (fun _ -> (zeros (), zeros ())) cells in
+  let n_steps = List.length steps in
+  List.iteri
+    (fun step (input, mask) ->
+      let last = step = n_steps - 1 in
+      let x = ref input in
+      Array.iteri
+        (fun l cell ->
+          let h, c = states.(l) in
+          let h', c' = reference_step ctx cell ~hd ~x:!x ~h ~c in
+          let blended =
+            match mask with
+            | None -> (h', c')
+            | Some m ->
+                ( Ad.row_blend ctx ~mask:m h' h,
+                  if last then c' else Ad.row_blend ctx ~mask:m c' c )
+          in
+          states.(l) <- blended;
+          x := fst blended)
+        cells)
+    steps;
+  fst states.(Array.length states - 1)
+
+(* One case: random weights whose gradient buffers start as a mix of
+   +0.0, -0.0 and values (a fresh-adjoint add that skipped +0.0 would
+   leave a -0.0 there), rows that end at different steps (some padded at
+   the final step, some steps all padded), a loss whose seed is zero on
+   some rows, and now and then one input node fed to two steps.  With
+   [gaps] a row may be padded at a step and live again later, so a
+   padded row's carried c adjoint is not zero; with [saturated] the
+   weights are large enough that gates reach exactly 0 or 1 and the
+   tanh exactly -1 or 1, where a zero gradient term can be -0.0.  The
+   fused op and the reference must agree on the output, the loss, every
+   weight gradient and every input gradient, bit for bit. *)
+let check_lstm_case rng ~batch ~layers ~hd ~input ~gaps ~saturated =
+  let sigma = if saturated then 150.0 else 0.6 in
+  let randm rows cols = T.randn rng ~rows ~cols ~sigma in
+  let mixed_grad rows cols =
+    T.of_array ~rows ~cols
+      (Array.init (rows * cols) (fun _ ->
+           match Rng.int rng 3 with
+           | 0 -> 0.0
+           | 1 -> -0.0
+           | _ -> Rng.float_range rng (-1.0) 1.0))
+  in
+  let cells =
+    Array.init layers (fun l ->
+        let w rows cols = (randm rows cols, mixed_grad rows cols) in
+        ( w (4 * hd) (if l = 0 then input else hd),
+          w (4 * hd) hd,
+          w 1 (4 * hd) ))
+  in
+  let n_steps = 1 + Rng.int rng 5 in
+  let lens = Array.init batch (fun _ -> 1 + Rng.int rng n_steps) in
+  let xs = Array.init n_steps (fun _ -> randm batch input) in
+  let reuse = Array.init n_steps (fun t -> t > 0 && Rng.int rng 4 = 0) in
+  let live =
+    Array.init n_steps (fun t ->
+        Array.map
+          (fun len -> if gaps then Rng.int rng 10 < 7 else t < len)
+          lens)
+  in
+  let masks =
+    Array.map
+      (fun row ->
+        if Array.for_all Fun.id row && Rng.bool rng then None
+        else Some (Array.map (fun l -> if l then 1.0 else 0.0) row))
+      live
+  in
+  let seed = T.randn rng ~rows:batch ~cols:hd ~sigma:1.0 in
+  for r = 0 to batch - 1 do
+    if Rng.int rng 4 = 0 then
+      for j = 0 to hd - 1 do
+        T.set seed r j 0.0
+      done
+  done;
+  let run build =
+    let leaves =
+      Array.map
+        (fun (wx, wh, b) ->
+          let leaf (v, g) = Ad.leaf ~value:v ~grad:(T.copy g) in
+          (leaf wx, leaf wh, leaf b))
+        cells
+    in
+    let ctx = Ad.new_ctx () in
+    let inputs = Array.make n_steps (Ad.constant ctx xs.(0)) in
+    for t = 1 to n_steps - 1 do
+      inputs.(t) <- (if reuse.(t) then inputs.(t - 1) else Ad.constant ctx xs.(t))
+    done;
+    let steps = List.init n_steps (fun t -> (inputs.(t), masks.(t))) in
+    let h = build ctx leaves steps in
+    let loss = Ad.sum_all ctx (Ad.mul ctx h (Ad.constant ctx seed)) in
+    Ad.backward ctx loss;
+    ( T.to_array (Ad.value h),
+      Ad.scalar_value loss,
+      Array.map
+        (fun (wx, wh, b) ->
+          List.map (fun n -> T.to_array (Ad.grad n)) [ wx; wh; b ])
+        leaves,
+      Array.map (fun x -> T.to_array (Ad.grad x)) inputs )
+  in
+  let fh, floss, fw, fx =
+    run (fun ctx leaves steps -> Ad.lstm_batch ctx ~cells:leaves ~batch steps)
+  in
+  let rh, rloss, rw, rx =
+    run (fun ctx leaves steps -> reference_lstm ctx leaves ~batch ~hd steps)
+  in
+  let case =
+    Printf.sprintf "B %d, %d layers, hidden %d, input %d%s%s" batch layers hd
+      input
+      (if gaps then ", gaps" else "")
+      (if saturated then ", saturated" else "")
+  in
+  let same what a b =
+    Array.iteri
+      (fun k v -> check_bits (Printf.sprintf "%s: %s[%d]" case what k) v a.(k))
+      b
+  in
+  same "output" fh rh;
+  check_bits (case ^ ": loss") floss rloss;
+  Array.iteri
+    (fun l per ->
+      List.iteri
+        (fun w g ->
+          same
+            (Printf.sprintf "layer %d %s grad" l
+               (List.nth [ "wx"; "wh"; "b" ] w))
+            g (List.nth rw.(l) w))
+        per)
+    fw;
+  Array.iteri (fun t g -> same (Printf.sprintf "step %d input grad" t) g rx.(t)) fx
+
+let test_lstm_fused_equals_reference () =
+  let rng = Rng.create 53 in
+  let inputs = [| 5; 9; 16; 17; 33; 49 |] in
+  let case = ref 0 in
+  List.iter
+    (fun batch ->
+      List.iter
+        (fun layers ->
+          List.iter
+            (fun hd ->
+              incr case;
+              check_lstm_case rng ~batch ~layers ~hd
+                ~input:inputs.(!case mod Array.length inputs)
+                ~gaps:(!case mod 2 = 0) ~saturated:(!case mod 3 = 0))
+            [ 6; 16; 32; 33 ])
+        [ 1; 2; 3 ])
+    [ 1; 2; 3; 5; 17 ]
 
 (* ---- batched surrogate vs per-sequence oracle ---- *)
 
@@ -421,6 +638,64 @@ let test_gemm_beta_poison () =
           Alcotest.(check bool) "mentions matmul" true (contains "Ad.matmul");
           Alcotest.(check bool) "mentions poison" true (contains "poison"))
 
+(* The fused stack's own failure paths. *)
+let lstm_leaf rows cols =
+  Ad.leaf ~value:(T.create ~rows ~cols 0.1) ~grad:(T.zeros ~rows ~cols)
+
+let lstm_cells () = [| (lstm_leaf 8 5, lstm_leaf 8 2, lstm_leaf 1 8) |]
+
+let test_lstm_batch_shape_error () =
+  with_sanitize true (fun () ->
+      let ctx = Ad.new_ctx () in
+      let x rows cols = Ad.constant ctx (T.zeros ~rows ~cols) in
+      let cells = lstm_cells () in
+      expect_shape "input width" ~contains:[ "Ad.lstm_batch"; "2x6"; "2x5" ]
+        (fun () -> Ad.lstm_batch ctx ~cells ~batch:2 [ (x 2 5, None); (x 2 6, None) ]);
+      expect_shape "mask length" ~contains:[ "Ad.lstm_batch"; "mask"; "1 entries"; "expected 2" ]
+        (fun () -> Ad.lstm_batch ctx ~cells ~batch:2 [ (x 2 5, Some [| 1.0 |]) ]);
+      expect_shape "batch" ~contains:[ "Ad.lstm_batch"; "2x5"; "3x5" ] (fun () ->
+          Ad.lstm_batch ctx ~cells ~batch:3 [ (x 2 5, None) ]);
+      (* a node in two weight roles would sum its gradient out of the
+         tape's order *)
+      let shared = lstm_leaf 8 2 in
+      match
+        Ad.lstm_batch ctx ~batch:2
+          ~cells:(Array.append cells [| (shared, shared, lstm_leaf 1 8) |])
+          [ (x 2 5, None) ]
+      with
+      | _ -> Alcotest.fail "a weight node in two roles was accepted"
+      | exception Invalid_argument _ -> ())
+
+(* The fused op's forward gemms share matmul's ad.gemm_beta fault site:
+   armed, the first one accumulates into its scratch destination, which
+   sanitize mode poisons first, and the scan of that 2x8 destination
+   names the op. *)
+let test_lstm_gemm_beta_poison () =
+  with_sanitize true (fun () ->
+      let ctx = Ad.new_ctx () in
+      let build () =
+        let x = Ad.constant ctx (T.create ~rows:2 ~cols:5 0.5) in
+        Ad.lstm_batch ctx ~cells:(lstm_cells ()) ~batch:2
+          [ (x, None); (x, Some [| 1.0; 0.0 |]) ]
+      in
+      ignore (build ());
+      Ad.reset ctx;
+      Faultsim.arm "ad.gemm_beta" ~at:1;
+      match build () with
+      | _ -> Alcotest.fail "expected Uninitialized_read"
+      | exception Ad.Uninitialized_read m ->
+          let contains needle =
+            let nh = String.length m and nn = String.length needle in
+            let rec go i =
+              i + nn <= nh && (String.sub m i nn = needle || go (i + 1))
+            in
+            nn = 0 || go 0
+          in
+          Alcotest.(check bool) "mentions lstm_batch" true
+            (contains "Ad.lstm_batch");
+          Alcotest.(check bool) "caught at the gemm" true (contains "of 2x8");
+          Alcotest.(check bool) "mentions poison" true (contains "poison"))
+
 let test_flow_audit_covers_batch () =
   with_sanitize true (fun () ->
       let rng = Rng.create 91 in
@@ -505,11 +780,15 @@ let () =
           Alcotest.test_case "shape checks" `Quick test_gemm_shape_checks;
           Alcotest.test_case "gemm_nt = gemv bitwise" `Quick
             test_gemm_nt_gemv_bits;
+          Alcotest.test_case "gemm_tn_sum = gemm_tn per term bitwise" `Quick
+            test_gemm_tn_sum_bits;
         ] );
       ( "lstm",
         [
           Alcotest.test_case "batch = sequential bitwise" `Quick
             test_lstm_batch_equals_sequential;
+          Alcotest.test_case "fused = per-step composition bitwise" `Quick
+            test_lstm_fused_equals_reference;
         ] );
       ( "model",
         [
@@ -533,6 +812,10 @@ let () =
         [
           Alcotest.test_case "matmul shape errors" `Quick test_matmul_shape_error;
           Alcotest.test_case "gemm beta poison" `Quick test_gemm_beta_poison;
+          Alcotest.test_case "lstm_batch shape errors" `Quick
+            test_lstm_batch_shape_error;
+          Alcotest.test_case "lstm_batch gemm beta poison" `Quick
+            test_lstm_gemm_beta_poison;
           Alcotest.test_case "flow audit covers batch" `Quick
             test_flow_audit_covers_batch;
         ] );

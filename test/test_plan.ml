@@ -209,6 +209,15 @@ let test_batched_trace_refused () =
               Ad.mape_batch ctx
                 (Ad.constant ctx (T.create ~rows:4 ~cols:1 2.0))
                 ~targets:[| 1.0; 2.0; 3.0; 4.0 |] );
+          ( "lstm_batch",
+            fun ctx ->
+              let leaf rows cols =
+                Ad.leaf ~value:(T.create ~rows ~cols 0.5)
+                  ~grad:(T.zeros ~rows ~cols)
+              in
+              Ad.lstm_batch ctx ~batch:4
+                ~cells:[| (leaf 4 2, leaf 4 1, leaf 1 4) |]
+                [ (x ctx, None); (x ctx, Some [| 1.0; 0.0; 1.0; 0.0 |]) ] );
         ]
       in
       let s0 = Ad.plan_stats () in
