@@ -1,6 +1,6 @@
 # Convenience targets for the DiffTune reproduction.
 
-.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-json-train bench-guard bench-sampling clean doc quickstart
+.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-json-train bench-json-refcpu bench-guard bench-sampling clean doc quickstart
 
 all: build
 
@@ -143,9 +143,16 @@ bench-json-mca:
 bench-json-train:
 	dune exec bench/main.exe -- perf-json-train
 
+# Reference machine row only (refcpu.timing, one 100-iteration label of
+# the guarded block, minimum of three passes) -> BENCH_PR24.json, the
+# baseline bench-guard holds it to.
+bench-json-refcpu:
+	dune exec bench/main.exe -- perf-json-refcpu
+
 # Perf regression guard: re-measures surrogate.forward, mca.timing, the
-# tokenizer and surrogate.train_batch.b8 (min of three passes, per-key
-# drift thresholds) against the committed BENCH_PR*.json baselines
+# tokenizer, surrogate.train_batch.b8 and refcpu.timing (min of three
+# passes, per-key drift thresholds; refcpu.timing's gate is +60%
+# against BENCH_PR24.json) against the committed BENCH_PR*.json baselines
 # (each key resolved from the newest file that records it), and
 # enforces the absolute bounds
 # recorded there (per-sequence compiled speedup >= 1.5x, sanitize

@@ -9,6 +9,8 @@
      dune exec bench/main.exe perf            # only the micro-benchmarks
      dune exec bench/main.exe perf-json-mca   # simulator rows -> BENCH_PR16.json
      dune exec bench/main.exe perf-json-train # batched training row -> BENCH_PR23.json
+     dune exec bench/main.exe perf-json-refcpu
+                                   # reference machine row -> BENCH_PR24.json
      DIFFTUNE_SCALE=full dune exec bench/main.exe   # larger budgets *)
 
 module Experiments = Dt_exp.Experiments
@@ -699,17 +701,22 @@ let perf_json () =
     (fun (n, v) -> Printf.printf "%-48s %12.1f\n%!" n v)
     (ns @ sp @ sc @ sa @ lf @ rc)
 
+(* Writes [rows] to BENCH_PR<pr>.json, a baseline bench-guard reads. *)
+let write_baseline pr rows =
+  let file = Printf.sprintf "BENCH_PR%d.json" pr in
+  let oc = open_out file in
+  Printf.fprintf oc "{\n  \"pr\": %d,\n  \"ns_per_call\": {\n%s\n  }\n}\n" pr
+    (String.concat ",\n"
+       (List.map (fun (name, v) -> Printf.sprintf "    %S: %.1f" name v) rows));
+  close_out oc;
+  print_endline ("wrote " ^ file);
+  List.iter (fun (n, v) -> Printf.printf "%-48s %12.1f\n%!" n v) rows
+
 (* Simulator rows only (make bench-json-mca): the newest baseline for
    mca.timing, which bench-guard holds the event-driven loop to. *)
 let perf_json_mca () =
-  let ns = estimates ~only:[ "mca.timing"; "mca.timing_random_table" ] () in
-  let oc = open_out "BENCH_PR16.json" in
-  Printf.fprintf oc "{\n  \"pr\": 16,\n  \"ns_per_call\": {\n%s\n  }\n}\n"
-    (String.concat ",\n"
-       (List.map (fun (name, v) -> Printf.sprintf "    %S: %.1f" name v) ns));
-  close_out oc;
-  print_endline "wrote BENCH_PR16.json";
-  List.iter (fun (n, v) -> Printf.printf "%-48s %12.1f\n%!" n v) ns
+  write_baseline 16
+    (estimates ~only:[ "mca.timing"; "mca.timing_random_table" ] ())
 
 (* Per-key minimum over three passes of [estimates ~only:keys]: the
    statistic bench-guard re-measures, so a transient load spike during
@@ -731,14 +738,13 @@ let min_of_three keys =
    bench-guard holds surrogate.train_batch.b8, one minibatch step of
    the fused LSTM stacks, to. *)
 let perf_json_train () =
-  let ns = min_of_three [ "surrogate.train_batch.b8" ] in
-  let oc = open_out "BENCH_PR23.json" in
-  Printf.fprintf oc "{\n  \"pr\": 23,\n  \"ns_per_call\": {\n%s\n  }\n}\n"
-    (String.concat ",\n"
-       (List.map (fun (name, v) -> Printf.sprintf "    %S: %.1f" name v) ns));
-  close_out oc;
-  print_endline "wrote BENCH_PR23.json";
-  List.iter (fun (n, v) -> Printf.printf "%-48s %12.1f\n%!" n v) ns
+  write_baseline 23 (min_of_three [ "surrogate.train_batch.b8" ])
+
+(* The reference machine's row only (make bench-json-refcpu): the
+   baseline bench-guard holds refcpu.timing, one 100-iteration label of
+   the guarded block by the event-driven machine, to. *)
+let perf_json_refcpu () =
+  write_baseline 24 (min_of_three [ "refcpu.timing" ])
 
 (* ---- perf regression guard (make bench-guard) ----
 
@@ -760,13 +766,18 @@ let perf_json_train () =
    stacks': eleven min-of-three runs on a 2-vCPU VM read 1.92-3.20 ms
    against its 2.12 ms, and five of the per-step tape's read
    3.85-4.59 ms, so +60% passes every one of the former and fails
-   every one of the latter. *)
+   every one of the latter.  refcpu.timing's baseline (BENCH_PR24) is
+   the event-driven reference machine's: thirteen of its min-of-three
+   runs on a 2-vCPU VM read 74.7-137.4 us against its 136.0 us, and
+   eleven of the visit-every-cycle loop's read 572-687 us (4.2-5.1x),
+   so +60% passes the former and fails the latter. *)
 let guard_keys =
   [
     ("surrogate.forward", 1.5);
     ("mca.timing", 1.25);
     ("tokenizer", 1.6);
     ("surrogate.train_batch.b8", 1.6);
+    ("refcpu.timing", 1.6);
   ]
 
 (* Every BENCH_PR<n>.json in the working directory, newest (largest n,
@@ -941,6 +952,7 @@ let () =
         ("perf-json", fun _ -> perf_json ());
         ("perf-json-mca", fun _ -> perf_json_mca ());
         ("perf-json-train", fun _ -> perf_json_train ());
+        ("perf-json-refcpu", fun _ -> perf_json_refcpu ());
         ("perf-guard", fun _ -> perf_guard ());
         ("ablation_depth", fun _ -> ablation_depth ()) ]
   in

@@ -175,6 +175,119 @@ let test_timing_positive_all_apps () =
       done)
     Dt_bhive.Generator.applications
 
+(* ---- event-driven machine = cycle-by-cycle oracle ----
+
+   Machine decodes each instruction once per block and jumps over cycles
+   in which nothing can happen; Refcpu_oracle keeps the loop that renames
+   every instruction of every iteration and visits every cycle.  Fixed
+   seeds: every run compares the same cases. *)
+
+let oracle_corpus seed count =
+  let rng = Dt_util.Rng.create seed in
+  let apps = Dt_bhive.Generator.applications in
+  Array.init count (fun _ ->
+      Dt_bhive.Generator.block rng
+        ~app:apps.(Dt_util.Rng.int rng (Array.length apps)))
+
+(* One block per mechanism whose timing depends on the iteration. *)
+let mechanism_blocks =
+  [
+    (* Eliminated moves chain iteration 2's rax to iteration 0's rcx. *)
+    "movq %rbx, %rax\nmovq %rcx, %rbx\naddq $1, %rcx\naddq %rax, %rdx";
+    (* The forwarding store comes later in the block: iteration 0's load
+       reads L1. *)
+    "movq 16(%rbp), %rax\nimulq %rax, %rcx\nmovq %rcx, 16(%rbp)";
+    (* Two stores to one address, then a reload. *)
+    "movq %rax, 8(%rsp)\nmovq %rbx, 8(%rsp)\nmovq 8(%rsp), %rcx\n\
+     addq %rcx, %rax";
+    (* Zero idioms break chains; a real xor does not. *)
+    "xorq %rax, %rax\naddq %rax, %rbx\nsubl %ecx, %ecx\npxor %xmm0, %xmm0\n\
+     vpxor %xmm1, %xmm1, %xmm2\nxorq %rbx, %rdx";
+    (* PUSH/POP under the stack engine. *)
+    "pushq %rbx\npopq %rcx\npushq %rax\naddq %rcx, %rax\ntestl %r8d, %r8d";
+    (* Dividers stay busy for more than one cycle. *)
+    "divl %ecx\naddl %eax, %ebx\ndivq %rsi\ndivps %xmm1, %xmm2";
+    "nop\nnop\nnop";
+    (* A divide chain: dependent micro-ops fill the scheduler on Ivy
+       Bridge and Haswell, independent ones the reorder buffer on Skylake
+       and Zen 2. *)
+    "divq %rcx\naddq %rax, %rbx\naddq %rbx, %rsi\nimulq %rsi, %rdi\n\
+     addq %r8, %r9\naddq %r10, %r11\naddq %r12, %r13\naddq %r14, %r15\n\
+     movq 8(%rsp), %r8\nmovq %r9, 16(%rsp)";
+  ]
+
+let test_oracle_sweep () =
+  let cases = ref 0 and mismatches = ref [] in
+  let compare_block label block =
+    List.iter
+      (fun u ->
+        let cfg = Uarch.config u in
+        List.iter
+          (fun iterations ->
+            incr cases;
+            let expected =
+              float_of_int (Refcpu_oracle.cycles cfg ~iterations block)
+              /. float_of_int iterations
+            in
+            if Machine.cycles_per_iteration cfg ~iterations block <> expected
+            then
+              mismatches :=
+                Printf.sprintf "%s %s x%d: %s" label (Uarch.uarch_name u)
+                  iterations (Dt_x86.Block.to_string block)
+                :: !mismatches)
+          [ 1; 2; 3; 100 ])
+      Uarch.all_uarchs
+  in
+  List.iteri
+    (fun j s ->
+      compare_block (Printf.sprintf "mechanism %d" j) (Dt_x86.Block.parse s))
+    mechanism_blocks;
+  List.iter
+    (fun seed ->
+      Array.iteri
+        (fun j block ->
+          compare_block (Printf.sprintf "seed %d block %d" seed j) block)
+        (oracle_corpus seed 60))
+    [ 42; 5 ];
+  (match List.rev !mismatches with
+  | [] -> ()
+  | first :: _ -> Printf.printf "first mismatch: %s\n%!" first);
+  Alcotest.(check int)
+    (Printf.sprintf "mismatches in %d comparisons" !cases)
+    0
+    (List.length !mismatches)
+
+(* ---- the ground truth itself ----
+
+   MD5 of the label bits of a 600-block corpus on each microarchitecture,
+   recorded with the visit-every-cycle machine.  The oracle sweep only
+   holds Machine to the copy in this directory; this pins the labels
+   every dataset, learned table and golden value is built from. *)
+
+let test_label_pin () =
+  List.iter
+    (fun (u, expected) ->
+      let ds =
+        Dt_bhive.Dataset.label
+          (Dt_bhive.Dataset.corpus ~seed:42 ~size:600)
+          ~seed:1 ~uarch:u ~noise:0.01
+      in
+      let bits = Buffer.create 8192 in
+      Array.iter
+        (fun (l : Dt_bhive.Dataset.labeled) ->
+          Buffer.add_int64_le bits (Int64.bits_of_float l.timing))
+        (Dt_bhive.Dataset.all ds);
+      Alcotest.(check string)
+        (Uarch.uarch_name u ^ " label digest")
+        expected
+        (Digest.to_hex (Digest.string (Buffer.contents bits))))
+    [
+      (Uarch.Ivy_bridge, "d5a9486aba21eba2c8d5bc1d4a33d457");
+      (Uarch.Haswell, "de5e27f76b185a1e5479623bf534770d");
+      (Uarch.Skylake, "002bccce33acb0e32cb3e473eec721ff");
+      (Uarch.Zen2, "5b0eacba8917e67118f9d0466a2d8992");
+    ]
+
 (* ---- properties ---- *)
 
 let gen_block =
@@ -294,6 +407,9 @@ let () =
           Alcotest.test_case "iterations scaling" `Quick test_iterations_scaling;
           Alcotest.test_case "invalid iterations" `Quick test_invalid_iterations;
           Alcotest.test_case "all apps positive" `Quick test_timing_positive_all_apps;
+          Alcotest.test_case "event-driven machine = oracle" `Quick
+            test_oracle_sweep;
+          Alcotest.test_case "labels pinned" `Quick test_label_pin;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
