@@ -1,6 +1,6 @@
 # Convenience targets for the DiffTune reproduction.
 
-.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-json-train bench-json-refcpu bench-guard bench-sampling clean doc quickstart
+.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-json-train bench-json-refcpu bench-json-sanitize bench-guard bench-sampling clean doc quickstart
 
 all: build
 
@@ -52,11 +52,8 @@ loadtest: build
 # and requires it to converge (bit-identically, unless the fault was
 # numeric).  One extra cell re-runs the combined fault spec with the
 # graph sanitizer armed: arena poisoning and generation stamps must stay
-# quiet on correct code even while faults fire.  Compiled replay runs
-# only the per-block training traces (table descent, the Ithemal fit);
-# batched training and prediction run the interpreter.  test/test_plan.ml
-# pins replay bitwise to the interpreted oracle inside the regular test
-# suite, so no cell varies the executor.
+# quiet on correct code even while faults fire.  Every trace runs on
+# the one autodiff interpreter, so no cell varies the executor.
 FAULT_SPECS = pool.worker@2 grad.nan@2 ckpt.truncate@1 engine.abort@2 \
               collect.pilot_crash@1 "engine.abort@2;grad.nan@3"
 verify: build
@@ -81,18 +78,19 @@ verify: build
 	dune exec test/test_sampler.exe || exit 1
 	@echo "== sampler racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 dune exec test/test_sampler.exe || exit 1
-	@# Confinement cell: table descent keeps one plan cache per pool
-	@# lane, and the race sanitizer checks each cache's owner token while
-	@# the compiled-executor suite descends at 1, 2 and 4 domains (and
-	@# each surrogate model's owner token around its batched calls).
-	@# Descent also computes each block's token vectors on
-	@# the pool's lanes before its first step; this cell must stay
-	@# quiet with that work spread over them.  The same suite pins the
-	@# learned table's bits (test_table_compiled_equals_interp): a
-	@# learn-loop change keeps that pin and every learn-quick golden
-	@# check of the end-to-end benchmark.
-	@echo "== plan racecheck=1 =="
-	DIFFTUNE_RACECHECK=1 dune exec test/test_plan.exe || exit 1
+	@# Confinement cell: the race sanitizer checks each surrogate
+	@# model's owner token around its batched calls while the engine
+	@# suite trains, fits and descends (the table descent at 1, 2 and 4
+	@# domains).  Descent computes each block's token vectors on the
+	@# pool's lanes before its first step, then runs each lane's shards
+	@# on that lane's own context; this cell must stay quiet with that
+	@# work spread over them.  The same suite pins the learned tables'
+	@# bits (test_table_descent_domains, test_learn_end_to_end_smoke)
+	@# and the Ithemal fit's (test_ithemal_smoke): a learn-loop change
+	@# keeps those pins and every learn-quick golden check of the
+	@# end-to-end benchmark.
+	@echo "== difftune racecheck=1 =="
+	DIFFTUNE_RACECHECK=1 dune exec test/test_difftune.exe || exit 1
 	@# dt_race cell: the armed race.unlocked_write / race.lock_cycle
 	@# sites must be caught by the dynamic checker (the test binary also
 	@# proves they are MISSED with checking off).
@@ -149,14 +147,20 @@ bench-json-train:
 bench-json-refcpu:
 	dune exec bench/main.exe -- perf-json-refcpu
 
+# Sanitizer overhead rows only (the per-sequence train step with
+# DIFFTUNE_SANITIZE off and on, interleaved) -> BENCH_PR25.json, whose
+# sanitize.overhead_pct bench-guard bounds at 15%.
+bench-json-sanitize:
+	dune exec bench/main.exe -- perf-json-sanitize
+
 # Perf regression guard: re-measures surrogate.forward, mca.timing, the
 # tokenizer, surrogate.train_batch.b8 and refcpu.timing (min of three
 # passes, per-key drift thresholds; refcpu.timing's gate is +60%
 # against BENCH_PR24.json) against the committed BENCH_PR*.json baselines
 # (each key resolved from the newest file that records it), and
 # enforces the absolute bounds
-# recorded there (per-sequence compiled speedup >= 1.5x, sanitize
-# overhead <= 15%, lifecycle shadow-scoring overhead <= 10%, zero
+# recorded there (sanitize overhead <= 15%, lifecycle shadow-scoring
+# overhead <= 10%, zero
 # requests shed across a hot-swap, and the fleet load-test bounds:
 # zero lost/duplicate, shed <= 1%, the armed shard crash survived,
 # cache locality >= 50%, p99 <= 3 s).

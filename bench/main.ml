@@ -11,6 +11,8 @@
      dune exec bench/main.exe perf-json-train # batched training row -> BENCH_PR23.json
      dune exec bench/main.exe perf-json-refcpu
                                    # reference machine row -> BENCH_PR24.json
+     dune exec bench/main.exe perf-json-sanitize
+                                   # sanitizer overhead rows -> BENCH_PR25.json
      DIFFTUNE_SCALE=full dune exec bench/main.exe   # larger budgets *)
 
 module Experiments = Dt_exp.Experiments
@@ -55,14 +57,11 @@ let estimates ?only () =
   let glob = [| 0.6; 1.4 |] in
   let spec = Dt_difftune.Spec.mca_full uarch in
   let staged_sample = spec.sample (Dt_util.Rng.create 7) in
-  (* Legacy row names keep their PR 5 semantics — the interpreted tape —
-     so the committed baselines stay comparable.  The per-sequence rows
-     build the [Model.predict] graph on a reset context with no plan
-     cache, and the batched rows run the interpreter, as every batched
-     call does.  [surrogate.forward_backward_compiled] measures the
-     per-sequence step through record/plan/replay.
+  (* The per-sequence rows build the [Model.predict] graph on a reset
+     context, the batched rows run [Model.predict_batch_value] and
+     [Model.train_batch]; every row runs the one interpreter.
 
-     [surrogate.forward] is one interpreted per-sequence forward;
+     [surrogate.forward] is one per-sequence forward;
      [surrogate.forward_backward] is one full training step over a
      reused workspace: constants + forward + MAPE + backward, gradients
      cleared at the end. *)
@@ -86,20 +85,6 @@ let estimates ?only () =
     Ad.reset ctx;
     let loss = Ad.mape ctx (seq_predict ctx) ~target:2.0 in
     Ad.backward ctx loss;
-    Dt_nn.Nn.Store.zero_grads store
-  in
-  (* The same per-sequence step through the compiled executor: the trace
-     replays a sealed plan (fused kernels, preallocated slabs), backward
-     runs the plan's reverse schedule.  Bitwise-identical gradients —
-     test_plan.ml holds the executor to that. *)
-  let plan_ctx = Ad.new_ctx () in
-  let plan_cache = Ad.plan_cache () in
-  let train_step_compiled () =
-    let loss =
-      Ad.with_plan plan_cache plan_ctx ~key:"bench.fb" (fun ctx ->
-          Ad.mape ctx (seq_predict ctx) ~target:2.0)
-    in
-    Ad.backward plan_ctx loss;
     Dt_nn.Nn.Store.zero_grads store
   in
   (* Batched surrogate work at batch 1 / 8 / 32: the same blocks the
@@ -170,9 +155,6 @@ let estimates ?only () =
       ( "surrogate.forward_backward",
         Test.make ~name:"surrogate.forward_backward" (Staged.stage train_step)
       );
-      ( "surrogate.forward_backward_compiled",
-        Test.make ~name:"surrogate.forward_backward_compiled"
-          (Staged.stage train_step_compiled) );
       ( "tokenizer",
         Test.make ~name:"tokenizer"
           (Staged.stage (fun () ->
@@ -290,12 +272,8 @@ let scaling () =
 
 (* The graph sanitizer (DIFFTUNE_SANITIZE) adds per-op stamp checks,
    shape inference, a poison scan of each output, and a post-backward
-   flow audit.  This measures the full train step both ways, through
-   both executors.  Under compiled replay most of that validation is
-   hoisted to the single record pass — the plan keeps only the poison
-   scan of beta-accumulating outputs — so the canonical
-   sanitize.overhead_pct row (what bench-guard bounds) is the compiled
-   one; the interpreted figure rides along for comparison. *)
+   flow audit.  This measures the full per-sequence train step both
+   ways; bench-guard bounds sanitize.overhead_pct. *)
 let sanitize_overhead () =
   let block =
     Dt_x86.Block.parse
@@ -333,37 +311,6 @@ let sanitize_overhead () =
     Ad.backward ctx loss;
     Dt_nn.Nn.Store.zero_grads store
   in
-  (* Each sanitize setting keeps its own plan cache so toggling the
-     flag between interleaved rounds never evicts a plan (psan is part
-     of plan validity; an eviction would bill a full re-record to one
-     side of the comparison). *)
-  let train_step_compiled =
-    let mk () =
-      let pctx = Ad.new_ctx () in
-      let cache = Ad.plan_cache () in
-      fun sanitize () ->
-        Ad.set_sanitize sanitize;
-        let loss =
-          Ad.with_plan cache pctx ~key:"san.fb" (fun ctx ->
-              let params =
-                {
-                  Model.per_instr =
-                    Array.map (fun v -> Ad.constant ctx (T.vector v)) per;
-                  global = Some (Ad.constant ctx (T.vector glob));
-                }
-              in
-              let pred =
-                Model.predict model ctx block ~params:(Some params)
-                  ~features:None
-              in
-              Ad.mape ctx pred ~target:2.0)
-        in
-        Ad.backward pctx loss;
-        Dt_nn.Nn.Store.zero_grads store
-    in
-    let step_off = mk () and step_on = mk () in
-    fun sanitize -> if sanitize then step_on true else step_off false
-  in
   let train_step_san sanitize () =
     Ad.set_sanitize sanitize;
     train_step ()
@@ -390,25 +337,12 @@ let sanitize_overhead () =
     (!ta, !tb)
   in
   let off, on = duel_ns (train_step_san false) (train_step_san true) in
-  let off_c, on_c =
-    duel_ns (train_step_compiled false) (train_step_compiled true)
-  in
-  (* The headline compiled-vs-interpreted train-step ratio comes from a
-     direct duel of the two executors (not from dividing bechamel rows
-     measured minutes apart): bench-guard holds this at >= 1.5x. *)
-  let i_fb, c_fb = duel_ns (train_step_san false) (train_step_compiled false) in
   Ad.set_sanitize false;
-  ( [
-      ("surrogate.forward_backward_ns.sanitize_off", off);
-      ("surrogate.forward_backward_ns.sanitize_on", on);
-      ("sanitize.overhead_interp_pct", (on -. off) /. off *. 100.0);
-      ("surrogate.forward_backward_compiled_ns.sanitize_off", off_c);
-      ("surrogate.forward_backward_compiled_ns.sanitize_on", on_c);
-      ("sanitize.overhead_pct", (on_c -. off_c) /. off_c *. 100.0);
-      ("surrogate.forward_backward_duel_ns.interp", i_fb);
-      ("surrogate.forward_backward_duel_ns.compiled", c_fb);
-    ],
-    [ ("compiled.speedup_forward_backward", i_fb /. c_fb) ] )
+  [
+    ("surrogate.forward_backward_ns.sanitize_off", off);
+    ("surrogate.forward_backward_ns.sanitize_on", on);
+    ("sanitize.overhead_pct", (on -. off) /. off *. 100.0);
+  ]
 
 (* ---- machine-readable perf snapshot for the PR trajectory ---- *)
 
@@ -678,8 +612,8 @@ let racecheck_rows () =
 let perf_json () =
   let ns = estimates () in
   let sc = scaling () in
-  let sa, duel_sp = sanitize_overhead () in
-  let sp = batch_speedups ns @ duel_sp in
+  let sa = sanitize_overhead () in
+  let sp = batch_speedups ns in
   let lf = lifecycle_rows () in
   let rc = racecheck_rows () in
   let oc = open_out "BENCH_PR8.json" in
@@ -746,6 +680,10 @@ let perf_json_train () =
 let perf_json_refcpu () =
   write_baseline 24 (min_of_three [ "refcpu.timing" ])
 
+(* The sanitizer overhead rows only (make bench-json-sanitize): the
+   baseline whose sanitize.overhead_pct bench-guard bounds. *)
+let perf_json_sanitize () = write_baseline 25 (sanitize_overhead ())
+
 (* ---- perf regression guard (make bench-guard) ----
 
    Re-measures a small set of guarded rows and fails when any of them
@@ -793,14 +731,12 @@ let baseline_files () =
   |> List.sort (fun (a, _) (b, _) -> compare b a)
   |> List.map snd
 
-(* Absolute bounds on derived rows of the committed snapshots: the
-   compiled executor must keep its claimed per-sequence win, not just
-   avoid drift.  (key, `Min|`Max, bound) — checked against the baseline
-   file itself, so the committed numbers are what the guard holds the
-   tree to. *)
+(* Absolute bounds on derived rows of the committed snapshots, not just
+   drift.  (key, `Min|`Max, bound) — checked against the baseline file
+   itself, so the committed numbers are what the guard holds the tree
+   to. *)
 let guard_absolute =
   [
-    ("compiled.speedup_forward_backward", `Min, 1.5);
     ("sanitize.overhead_pct", `Max, 15.0);
     (* PR 7 lifecycle bounds: sampled shadow-scoring may cost at most
        10% of warmed serving throughput, and a hot-swap under
@@ -953,6 +889,7 @@ let () =
         ("perf-json-mca", fun _ -> perf_json_mca ());
         ("perf-json-train", fun _ -> perf_json_train ());
         ("perf-json-refcpu", fun _ -> perf_json_refcpu ());
+        ("perf-json-sanitize", fun _ -> perf_json_sanitize ());
         ("perf-guard", fun _ -> perf_guard ());
         ("ablation_depth", fun _ -> ablation_depth ()) ]
   in

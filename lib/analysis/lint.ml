@@ -139,33 +139,24 @@ let gemv_batch_rule =
   }
 
 (* Network code that issues Ad tape-op constructors from inside a for
-   loop builds a trace op by op on every call.  That is the design in
-   two places only: a batched trace runs on the interpreter (one gemm
-   per timestep, and its shape recurs too rarely to replay), and a
-   per-block trace records under an Ad.with_plan key whose plan then
-   replays.  The whitelisted files are those two trace builders. *)
+   loop builds a trace op by op on every call, where one fused node or
+   one batched op per step would do (an LSTM stack of any batch size is
+   one Ad.lstm_batch node).  The whitelisted file builds the batched
+   traces, whose per-bucket loops are the design. *)
 let tape_op_loop_rule =
   {
     name = "tape-op-loop";
     summary =
       "Ad tape-op constructor called inside a for loop in network code; \
-       a per-block trace that recurs should record under Ad.with_plan \
-       and replay its plan, and per-row work should be batched, which \
-       runs on the interpreter by design";
+       batch the per-row work into one op per step, or fuse the loop \
+       into one node as Ad.lstm_batch does";
     in_scope =
       (fun path -> contains path "lib/nn/" || contains path "lib/surrogate/");
     whitelist =
       [
-        ( "lib/nn/nn.ml",
-          "the per-sequence LSTM step loop is the trace builder that \
-           table descent and the Ithemal fit record under their \
-           Ad.with_plan keys and replay; a batched stack is one \
-           Ad.lstm_batch node, built without a step loop" );
         ( "lib/surrogate/model.ml",
-          "the batched entry points run their traces on the interpreter \
-           by design (a minibatch's shape profile seldom recurs); the \
-           per-sequence stages are recorded under Ad.with_plan by their \
-           per-block callers" );
+          "the surrogate's trace builder: its loops over length buckets \
+           build the batched trace, one op per bucket and step" );
       ];
   }
 
@@ -703,8 +694,7 @@ let lint_ast ~path ?only ast =
                 add tape_op_loop_rule loc
                   (Printf.sprintf
                      "Ad.%s constructs a tape op on every loop iteration; \
-                      batch the rows, or record a recurring per-block \
-                      trace under Ad.with_plan and replay its plan"
+                      batch the rows into one op per step"
                      fn)
             | _ -> ())
         | _ -> ());

@@ -1,11 +1,6 @@
 module T = Dt_tensor.Tensor
 module G = Dt_tensor.Gemm
 
-(* [node], [ctx] and the plan types form one recursive group and reuse a
-   few label names (e.g. [gen]); field access is unambiguous from the
-   annotations, so the duplicate-definition warning is noise here. *)
-[@@@warning "-30"]
-
 (* Unary op kinds share one tape constructor; forward/backward dispatch on
    the kind with direct loops (no per-element closure calls). *)
 type ukind = Sigmoid | Tanh | Relu | Abs | Expc | Affine of float * float
@@ -14,16 +9,11 @@ type ukind = Sigmoid | Tanh | Relu | Abs | Expc | Affine of float * float
    can reject stale nodes ([gen] older than the context's) and nodes fed
    to a foreign context.  Leaves carry [ctx_id = -1]: they own external
    buffers and survive resets.  [mark] is scratch for the gradient-flow
-   audit (tape nodes are context-private, so marking is race-free).
-
-   [op] is mutable solely so compiled-plan replay can rebind per-call
-   immediates (constant payloads arrive by blit; MAPE targets arrive by
-   swapping the op in place) and so [reduce_max] can defer its argmax to
-   execution time. *)
+   audit (tape nodes are context-private, so marking is race-free). *)
 type node = {
   value : T.t;
   grad : T.t;
-  mutable op : op;
+  op : op;
   ctx_id : int;
   gen : int;
   mutable mark : int;
@@ -42,7 +32,7 @@ and op =
   | Max2 of node * node
   | Div of node * node
   | SumAll of node
-  | ReduceMax of node * int (* v, argmax at forward time *)
+  | ReduceMax of node * int (* v, argmax *)
   | Mape of node * float (* pred, target *)
   (* ---- batched (matmul-class) ops ---- *)
   | Matmul of node * node (* x [B x k], w [n x k]; out = x w^T *)
@@ -52,7 +42,7 @@ and op =
   | ConcatCols of node array (* horizontal concat of [B x *] blocks *)
   | RowBlend of node * node * float array (* mask row-selects a / b *)
   | MapeBatch of node * float array (* pred [B x 1], per-row targets *)
-  | LstmBatch of lstm (* a whole batched LSTM stack; see [lstm_batch] *)
+  | LstmBatch of lstm (* a whole LSTM stack; see [lstm_batch] *)
 
 (* The workspace [lws] from [lbase], in floats, with s = batch x hidden:
    layer l's zero initial h and c at 2ls and (2l + 1)s, then for step t
@@ -69,7 +59,14 @@ and lstm = {
   lbase : int;
 }
 
-and ctx = {
+type flow_report = {
+  tape_nodes : int;
+  live : int;
+  dead : int;
+  dead_ops : (string * int) list;
+}
+
+type ctx = {
   mutable buf : T.buf; (* arena; abandoned (not copied) on growth *)
   mutable used : int; (* floats handed out from [buf] *)
   mutable tape : node array;
@@ -78,54 +75,6 @@ and ctx = {
   mutable gen : int; (* bumped by [reset]; stamped onto new nodes *)
   mutable audit_token : int; (* distinct mark per gradient-flow audit *)
   mutable last_flow : flow_report option;
-  mutable mode : mode;
-  mutable replayed : plan option; (* plan whose forward ran last, if any *)
-}
-
-(* Interp is the define-by-run interpreter (also the record pass: the
-   tape IS the recording).  Replay re-runs the caller's trace as a cheap
-   cursor walk over a sealed plan: each op call verifies structure by
-   physical operand identity, rebinds immediates, and returns the
-   pre-allocated plan node; kernels then execute in one batch. *)
-and mode = Interp | Replay of replay
-and replay = { rplan : plan; mutable cursor : int }
-
-and plan = {
-  psan : bool; (* sealed under sanitize; a toggle invalidates the plan *)
-  pnodes : node array; (* mirrors of the recorded tape, in tape order *)
-  pinstrs : pinstr array; (* fused schedule, one slot per tape position *)
-  proot : node;
-  pgslab : T.buf; (* adjoint slab *)
-  pflow : flow_report option; (* flow audit hoisted to seal time *)
-  pbytes : int; (* value + adjoint slab bytes *)
-  pbeta : node array; (* beta-accumulating outputs poisoned per replay *)
-  (* Deferred weight-gradient outer products, one entry per leaf/const
-     matrix: (matrix grad, out grads, vector values), pairs in the order
-     the interpreter's reverse pass would apply them (descending tape
-     index).  See the deferral rules in [seal]. *)
-  pgers : (T.t * T.t array * T.t array) array;
-}
-
-and pinstr =
-  | Pop of node (* unfused: shared forward kernel + shared backprop *)
-  | Pmv of node (* matvec whose weight-grad ger is deferred to pgers *)
-  | Pskip (* interior of a fusion group *)
-  | Pfadd3 of fadd3 (* (a + b) + c *)
-  | Pfgate of fgate (* sigmoid/tanh over a window of src *)
-  | Pfcell of fcell (* a1*b1 + a2*b2 (the LSTM cell update) *)
-
-and fadd3 = { a3out : node; a3a : node; a3b : node; a3c : node }
-and fgate = { fgout : node; fgsrc : node; fgpos : int; fgsig : bool }
-
-(* [fcm1]/[fcm2] are the Add's operands in order (forward); [fchi]/[fclo]
-   the same two muls ordered by descending tape index (backward). *)
-and fcell = { fcout : node; fcm1 : node; fcm2 : node; fchi : node; fclo : node }
-
-and flow_report = {
-  tape_nodes : int;
-  live : int;
-  dead : int;
-  dead_ops : (string * int) list;
 }
 
 (* ---- sanitize mode ----
@@ -149,58 +98,17 @@ let sanitize =
 let set_sanitize b = sanitize := b
 let sanitize_enabled () = !sanitize
 
-(* ---- compiled-executor gate ----
-
-   Always on in production.  Tests call [set_compile false] to force
-   every [with_plan] call through the interpreter, the bit-exact oracle:
-   the record pass IS an interpreted pass, and replay must reproduce its
-   bits exactly. *)
-
-let compile_on = ref true
-let set_compile b = compile_on := b
-
-(* Raised internally by replay when the caller's trace diverges from the
-   sealed plan (evicts the plan and falls back to a fresh record pass, so
-   cache-key collisions cost time, never correctness).  Not exported. *)
-exception Plan_mismatch of string
-
-let rmismatch what = raise (Plan_mismatch what)
-
-(* ---- plan statistics (process-global, atomic) ---- *)
+(* ---- plan statistics: always zero (see ad.mli) ---- *)
 
 type plan_stats = {
   plans_compiled : int;
   plan_hits : int;
   plan_misses : int;
   plan_evictions : int;
-  fused_ops : int;
-  slab_bytes : int;
 }
 
-let s_compiled = Atomic.make 0
-let s_hits = Atomic.make 0
-let s_misses = Atomic.make 0
-let s_evictions = Atomic.make 0
-let s_fused = Atomic.make 0
-let s_slab = Atomic.make 0
-
 let plan_stats () =
-  {
-    plans_compiled = Atomic.get s_compiled;
-    plan_hits = Atomic.get s_hits;
-    plan_misses = Atomic.get s_misses;
-    plan_evictions = Atomic.get s_evictions;
-    fused_ops = Atomic.get s_fused;
-    slab_bytes = Atomic.get s_slab;
-  }
-
-let reset_plan_stats () =
-  Atomic.set s_compiled 0;
-  Atomic.set s_hits 0;
-  Atomic.set s_misses 0;
-  Atomic.set s_evictions 0;
-  Atomic.set s_fused 0;
-  Atomic.set s_slab 0
+  { plans_compiled = 0; plan_hits = 0; plan_misses = 0; plan_evictions = 0 }
 
 let initial_arena = 8192
 let ctx_counter = Atomic.make 0
@@ -223,8 +131,6 @@ let new_ctx () =
     gen = 0;
     audit_token = 0;
     last_flow = None;
-    mode = Interp;
-    replayed = None;
   }
 
 let reset ctx =
@@ -233,9 +139,7 @@ let reset ctx =
   if !sanitize then T.fill_poison_buf ctx.buf ~pos:0 ~len:ctx.used;
   ctx.used <- 0;
   ctx.count <- 0;
-  ctx.gen <- ctx.gen + 1;
-  ctx.mode <- Interp;
-  ctx.replayed <- None
+  ctx.gen <- ctx.gen + 1
 
 let tape_size ctx = ctx.count
 let arena_capacity ctx = Bigarray.Array1.dim ctx.buf
@@ -753,21 +657,18 @@ let lstm_backward r (n : node) =
     done
   done
 
-(* ---- shared forward execution ----
+(* ---- forward execution ----
 
-   One dispatch used by both the interpreted constructors and compiled
-   replay, so a plan cannot drift from the oracle: same kernels, same
-   call order, same operand data => identical bits.  View ops (Row,
-   Slice) and inputs execute as no-ops; [reduce_max] computes its argmax
-   here (not at trace time) because under replay the operand's value is
-   only current at execution. *)
+   The forward kernel of every op, run by its constructor once the node
+   is on the tape.  View ops (Row, Slice) and inputs execute as
+   no-ops. *)
 let exec_forward n =
   match n.op with
   | Leaf | Const | Row _ | Slice _ -> ()
   | Matvec (m, x) ->
       (* Fault site: reintroduces the PR 2 gemv bug (accumulate into a
          fresh slot) so the fault matrix can exercise the poison
-         detector — consulted per execution, interpreted or compiled. *)
+         detector. *)
       let beta = if Dt_util.Faultsim.fire "ad.gemv_beta" then 1.0 else 0.0 in
       T.gemv ~m:m.value ~x:x.value ~y:n.value ~beta
   | Add (a, b) -> T.add_ ~dst:n.value ~a:a.value ~b:b.value
@@ -792,13 +693,7 @@ let exec_forward n =
           (T.unsafe_get1 a.value i /. T.unsafe_get1 b.value i)
       done
   | SumAll v -> T.unsafe_set1 n.value 0 (T.sum v.value)
-  | ReduceMax (v, _) ->
-      let best = ref 0 in
-      for i = 1 to T.size v.value - 1 do
-        if T.unsafe_get1 v.value i > T.unsafe_get1 v.value !best then best := i
-      done;
-      n.op <- ReduceMax (v, !best);
-      T.unsafe_set1 n.value 0 (T.unsafe_get1 v.value !best)
+  | ReduceMax (v, best) -> T.unsafe_set1 n.value 0 (T.unsafe_get1 v.value best)
   | Mape (pred, target) ->
       T.unsafe_set1 n.value 0
         (Float.abs (T.unsafe_get1 pred.value 0 -. target) /. target)
@@ -897,70 +792,36 @@ let record ctx n =
   ctx.count <- ctx.count + 1;
   n
 
-(* ---- replay cursor ----
-
-   During replay each op call consumes the next plan node, checks the op
-   tag and operand physical identity (operands passed by the trace ARE
-   earlier cursor returns, so pointer equality is the full structural
-   check), rebinds any per-call immediates, and returns the plan node.
-   Any divergence raises the internal [Plan_mismatch]. *)
-
-let rnext r name =
-  let pn = r.rplan.pnodes in
-  if r.cursor >= Array.length pn then
-    rmismatch (name ^ ": trace is longer than the sealed plan");
-  let n = Array.unsafe_get pn r.cursor in
-  r.cursor <- r.cursor + 1;
-  n
-
 let leaf ~value ~grad =
   if not (T.same_shape value grad) then
     invalid_arg "Ad.leaf: value/grad shape mismatch";
   { value; grad; op = Leaf; ctx_id = -1; gen = 0; mark = 0 }
 
 let constant ctx t =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "constant" in
-      match n.op with
-      | Const when T.same_shape n.value t ->
-          T.blit ~src:t ~dst:n.value;
-          n
-      | _ -> rmismatch "constant")
-  | Interp ->
-      let value = alloc ctx ~rows:t.T.rows ~cols:t.T.cols in
-      T.blit ~src:t ~dst:value;
-      record ctx
-        {
-          value;
-          grad = alloc_grad ctx ~rows:t.T.rows ~cols:t.T.cols;
-          op = Const;
-          ctx_id = ctx.id;
-          gen = ctx.gen;
-          mark = 0;
-        }
+  let value = alloc ctx ~rows:t.T.rows ~cols:t.T.cols in
+  T.blit ~src:t ~dst:value;
+  record ctx
+    {
+      value;
+      grad = alloc_grad ctx ~rows:t.T.rows ~cols:t.T.cols;
+      op = Const;
+      ctx_id = ctx.id;
+      gen = ctx.gen;
+      mark = 0;
+    }
 
 let scalar ctx v =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "scalar" in
-      match n.op with
-      | Const when T.size n.value = 1 ->
-          T.unsafe_set1 n.value 0 v;
-          n
-      | _ -> rmismatch "scalar")
-  | Interp ->
-      let value = alloc ctx ~rows:1 ~cols:1 in
-      T.unsafe_set1 value 0 v;
-      record ctx
-        {
-          value;
-          grad = alloc_grad ctx ~rows:1 ~cols:1;
-          op = Const;
-          ctx_id = ctx.id;
-          gen = ctx.gen;
-          mark = 0;
-        }
+  let value = alloc ctx ~rows:1 ~cols:1 in
+  T.unsafe_set1 value 0 v;
+  record ctx
+    {
+      value;
+      grad = alloc_grad ctx ~rows:1 ~cols:1;
+      op = Const;
+      ctx_id = ctx.id;
+      gen = ctx.gen;
+      mark = 0;
+    }
 
 (* Fresh value+grad slots for an op producing a rows x cols output.  In
    sanitize mode every operand's context/generation stamp is validated
@@ -991,156 +852,79 @@ let make_view ctx ~view ~rows ~cols op =
     }
 
 let matvec ctx ~m ~x =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "matvec" in
-      match n.op with
-      | Matvec (m', x') when m' == m && x' == x -> n
-      | _ -> rmismatch "matvec")
-  | Interp ->
-      if !sanitize then begin
-        san_vector "matvec" "x" x;
-        if x.value.T.cols <> m.value.T.cols then
-          raise
-            (Shape_error
-               (Printf.sprintf "Ad.matvec: m is %s, x is %s (expected 1x%d)"
-                  (shape_str m.value) (shape_str x.value) m.value.T.cols))
-      end;
-      let out_dim = m.value.T.rows in
-      let n = make ctx ~rows:1 ~cols:out_dim (Matvec (m, x)) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "matvec" n);
-      n
+  if !sanitize then begin
+    san_vector "matvec" "x" x;
+    if x.value.T.cols <> m.value.T.cols then
+      raise
+        (Shape_error
+           (Printf.sprintf "Ad.matvec: m is %s, x is %s (expected 1x%d)"
+              (shape_str m.value) (shape_str x.value) m.value.T.cols))
+  end;
+  let out_dim = m.value.T.rows in
+  let n = make ctx ~rows:1 ~cols:out_dim (Matvec (m, x)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "matvec" n);
+  n
 
 let row ctx ~m i =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "row" in
-      match n.op with
-      (* The value is a view bound at seal time, so the row index is
-         structural: a different index means a different plan. *)
-      | Row (m', i') when m' == m && i' = i -> n
-      | _ -> rmismatch "row")
-  | Interp ->
-      if i < 0 || i >= m.value.T.rows then
-        invalid_arg "Ad.row: index out of range";
-      let cols = m.value.T.cols in
-      make_view ctx ~view:(T.row_view m.value i) ~rows:1 ~cols (Row (m, i))
+  if i < 0 || i >= m.value.T.rows then invalid_arg "Ad.row: index out of range";
+  let cols = m.value.T.cols in
+  make_view ctx ~view:(T.row_view m.value i) ~rows:1 ~cols (Row (m, i))
 
 let add ctx a b =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "add" in
-      match n.op with
-      | Add (a', b') when a' == a && b' == b -> n
-      | _ -> rmismatch "add")
-  | Interp ->
-      if !sanitize then san_same ctx "add" a b;
-      if not (T.same_shape a.value b.value) then
-        invalid_arg "Ad.add: shape mismatch";
-      let n =
-        make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Add (a, b))
-      in
-      exec_forward n;
-      if !sanitize then ignore (san_output "add" n);
-      n
+  if !sanitize then san_same ctx "add" a b;
+  if not (T.same_shape a.value b.value) then invalid_arg "Ad.add: shape mismatch";
+  let n = make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Add (a, b)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "add" n);
+  n
 
 let mul ctx a b =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "mul" in
-      match n.op with
-      | Mul (a', b') when a' == a && b' == b -> n
-      | _ -> rmismatch "mul")
-  | Interp ->
-      if !sanitize then san_same ctx "mul" a b;
-      if not (T.same_shape a.value b.value) then
-        invalid_arg "Ad.mul: shape mismatch";
-      let n =
-        make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Mul (a, b))
-      in
-      exec_forward n;
-      if !sanitize then ignore (san_output "mul" n);
-      n
-
-(* parts (a list or array from the caller) vs the sealed operand array *)
-let same_parts stored given =
-  Array.length stored = Array.length given
-  && begin
-       let ok = ref true in
-       Array.iteri (fun i p -> if stored.(i) != p then ok := false) given;
-       !ok
-     end
+  if !sanitize then san_same ctx "mul" a b;
+  if not (T.same_shape a.value b.value) then invalid_arg "Ad.mul: shape mismatch";
+  let n = make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Mul (a, b)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "mul" n);
+  n
 
 let concat ctx parts =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "concat" in
-      match n.op with
-      | Concat stored when same_parts stored (Array.of_list parts) -> n
-      | _ -> rmismatch "concat")
-  | Interp ->
-      if parts = [] then invalid_arg "Ad.concat: empty";
-      let parts = Array.of_list parts in
-      (* Concatenating a matrix silently flattens it row-major — almost
-         always a bug in calling code; only sanitize mode rejects it. *)
-      if !sanitize then
-        Array.iteri
-          (fun i p -> san_vector "concat" (Printf.sprintf "part %d" i) p)
-          parts;
-      let total = Array.fold_left (fun acc p -> acc + T.size p.value) 0 parts in
-      let n = make ctx ~rows:1 ~cols:total (Concat parts) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "concat" n);
-      n
+  if parts = [] then invalid_arg "Ad.concat: empty";
+  let parts = Array.of_list parts in
+  (* Concatenating a matrix silently flattens it row-major — almost
+     always a bug in calling code; only sanitize mode rejects it. *)
+  if !sanitize then
+    Array.iteri
+      (fun i p -> san_vector "concat" (Printf.sprintf "part %d" i) p)
+      parts;
+  let total = Array.fold_left (fun acc p -> acc + T.size p.value) 0 parts in
+  let n = make ctx ~rows:1 ~cols:total (Concat parts) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "concat" n);
+  n
 
 let slice ctx v ~pos ~len =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "slice" in
-      match n.op with
-      | Slice (v', pos') when v' == v && pos' = pos && n.value.T.cols = len ->
-          n
-      | _ -> rmismatch "slice")
-  | Interp ->
-      (* Slicing a matrix treats it as a flat vector and can span rows;
-         sanitize mode insists on a row-vector operand. *)
-      if !sanitize then begin
-        san_vector "slice" "operand" v;
-        if pos < 0 || len <= 0 || pos + len > T.size v.value then
-          raise
-            (Shape_error
-               (Printf.sprintf
-                  "Ad.slice: window [%d, %d) out of range for operand %s" pos
-                  (pos + len) (shape_str v.value)))
-      end;
-      if pos < 0 || len <= 0 || pos + len > T.size v.value then
-        invalid_arg "Ad.slice: out of range";
-      make_view ctx ~view:(T.sub v.value ~pos ~len) ~rows:1 ~cols:len
-        (Slice (v, pos))
-
-let ukind_eq a b =
-  match (a, b) with
-  | Sigmoid, Sigmoid | Tanh, Tanh | Relu, Relu | Abs, Abs | Expc, Expc -> true
-  | Affine (m1, a1), Affine (m2, a2) ->
-      Int64.equal (Int64.bits_of_float m1) (Int64.bits_of_float m2)
-      && Int64.equal (Int64.bits_of_float a1) (Int64.bits_of_float a2)
-  | _ -> false
+  (* Slicing a matrix treats it as a flat vector and can span rows;
+     sanitize mode insists on a row-vector operand. *)
+  if !sanitize then begin
+    san_vector "slice" "operand" v;
+    if pos < 0 || len <= 0 || pos + len > T.size v.value then
+      raise
+        (Shape_error
+           (Printf.sprintf "Ad.slice: window [%d, %d) out of range for operand %s"
+              pos (pos + len) (shape_str v.value)))
+  end;
+  if pos < 0 || len <= 0 || pos + len > T.size v.value then
+    invalid_arg "Ad.slice: out of range";
+  make_view ctx ~view:(T.sub v.value ~pos ~len) ~rows:1 ~cols:len
+    (Slice (v, pos))
 
 let unary ctx v kind =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "unary" in
-      match n.op with
-      | Unary (v', k') when v' == v && ukind_eq k' kind -> n
-      | _ -> rmismatch "unary")
-  | Interp ->
-      let n =
-        make ctx ~rows:v.value.T.rows ~cols:v.value.T.cols (Unary (v, kind))
-      in
-      exec_forward n;
-      if !sanitize then ignore (san_output (op_name n.op) n);
-      n
+  let n =
+    make ctx ~rows:v.value.T.rows ~cols:v.value.T.cols (Unary (v, kind))
+  in
+  exec_forward n;
+  if !sanitize then ignore (san_output (op_name n.op) n);
+  n
 
 let sigmoid ctx v = unary ctx v Sigmoid
 let tanh_ ctx v = unary ctx v Tanh
@@ -1151,107 +935,58 @@ let affine ctx v ~mul ~add = unary ctx v (Affine (mul, add))
 let scale ctx v alpha = unary ctx v (Affine (alpha, 0.0))
 
 let max2 ctx a b =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "max2" in
-      match n.op with
-      | Max2 (a', b') when a' == a && b' == b -> n
-      | _ -> rmismatch "max2")
-  | Interp ->
-      if !sanitize then san_same ctx "max2" a b;
-      if not (T.same_shape a.value b.value) then
-        invalid_arg "Ad.max2: shape mismatch";
-      let n =
-        make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Max2 (a, b))
-      in
-      exec_forward n;
-      if !sanitize then ignore (san_output "max2" n);
-      n
+  if !sanitize then san_same ctx "max2" a b;
+  if not (T.same_shape a.value b.value) then
+    invalid_arg "Ad.max2: shape mismatch";
+  let n = make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Max2 (a, b)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "max2" n);
+  n
 
 let div ctx a b =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "div" in
-      match n.op with
-      | Div (a', b') when a' == a && b' == b -> n
-      | _ -> rmismatch "div")
-  | Interp ->
-      if !sanitize then san_same ctx "div" a b;
-      if not (T.same_shape a.value b.value) then
-        invalid_arg "Ad.div: shape mismatch";
-      let n =
-        make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Div (a, b))
-      in
-      exec_forward n;
-      if !sanitize then ignore (san_output "div" n);
-      n
+  if !sanitize then san_same ctx "div" a b;
+  if not (T.same_shape a.value b.value) then invalid_arg "Ad.div: shape mismatch";
+  let n = make ctx ~rows:a.value.T.rows ~cols:a.value.T.cols (Div (a, b)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "div" n);
+  n
 
 let sum_all ctx v =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "sum_all" in
-      match n.op with
-      | SumAll v' when v' == v -> n
-      | _ -> rmismatch "sum_all")
-  | Interp ->
-      let n = make ctx ~rows:1 ~cols:1 (SumAll v) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "sum_all" n);
-      n
+  let n = make ctx ~rows:1 ~cols:1 (SumAll v) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "sum_all" n);
+  n
 
 let reduce_max ctx v =
-  match ctx.mode with
-  | Replay r -> (
-      let n = rnext r "reduce_max" in
-      match n.op with
-      (* The argmax is recomputed at execution time, when the operand's
-         replay value is current. *)
-      | ReduceMax (v', _) when v' == v -> n
-      | _ -> rmismatch "reduce_max")
-  | Interp ->
-      let n = make ctx ~rows:1 ~cols:1 (ReduceMax (v, 0)) in
-      exec_forward n;
-      n
+  let best = ref 0 in
+  for i = 1 to T.size v.value - 1 do
+    if T.unsafe_get1 v.value i > T.unsafe_get1 v.value !best then best := i
+  done;
+  let n = make ctx ~rows:1 ~cols:1 (ReduceMax (v, !best)) in
+  exec_forward n;
+  n
 
 let mape ctx pred ~target =
-  match ctx.mode with
-  | Replay r -> (
-      if target <= 0.0 then invalid_arg "Ad.mape: target must be positive";
-      let n = rnext r "mape" in
-      match n.op with
-      | Mape (pred', _) when pred' == pred ->
-          n.op <- Mape (pred, target);
-          n
-      | _ -> rmismatch "mape")
-  | Interp ->
-      if !sanitize && T.size pred.value <> 1 then
-        raise
-          (Shape_error
-             (Printf.sprintf "Ad.mape: prediction is %s, expected a 1x1 scalar"
-                (shape_str pred.value)));
-      if T.size pred.value <> 1 then
-        invalid_arg "Ad.mape: prediction not scalar";
-      if target <= 0.0 then invalid_arg "Ad.mape: target must be positive";
-      let n = make ctx ~rows:1 ~cols:1 (Mape (pred, target)) in
-      exec_forward n;
-      if !sanitize then ignore (san_output "mape" n);
-      n
+  if !sanitize && T.size pred.value <> 1 then
+    raise
+      (Shape_error
+         (Printf.sprintf "Ad.mape: prediction is %s, expected a 1x1 scalar"
+            (shape_str pred.value)));
+  if T.size pred.value <> 1 then invalid_arg "Ad.mape: prediction not scalar";
+  if target <= 0.0 then invalid_arg "Ad.mape: target must be positive";
+  let n = make ctx ~rows:1 ~cols:1 (Mape (pred, target)) in
+  exec_forward n;
+  if !sanitize then ignore (san_output "mape" n);
+  n
 
 (* ---- batched (matmul-class) ops ----
 
-   The batched LSTM packs B sequences per timestep into [B x hidden]
-   matrices; these ops are the matrix analogues of matvec / add / slice
-   / concat / mape, with both gradient paths expressed as gemm calls.
-   They run only on the interpreter: a batched trace's shape recurs too
-   rarely for a sealed plan to replay, so [with_plan] refuses a trace
-   that holds one, and meeting one during a replay means the trace has
-   left its plan. *)
-
-let interp_only ctx name =
-  match ctx.mode with Replay _ -> rmismatch name | Interp -> ()
+   The batched surrogate packs B sequences per timestep into
+   [B x hidden] matrices; these ops are the matrix analogues of matvec /
+   add / slice / concat / mape, with both gradient paths expressed as
+   gemm calls. *)
 
 let matmul ctx ~x ~w =
-  interp_only ctx "matmul";
   if !sanitize && x.value.T.cols <> w.value.T.cols then
     raise
       (Shape_error
@@ -1267,7 +1002,6 @@ let matmul ctx ~x ~w =
   n
 
 let add_row ctx a ~bias =
-  interp_only ctx "add_row";
   if !sanitize
      && (bias.value.T.rows <> 1 || bias.value.T.cols <> a.value.T.cols)
   then
@@ -1284,7 +1018,6 @@ let add_row ctx a ~bias =
   n
 
 let stack_rows ctx parts =
-  interp_only ctx "stack_rows";
   if Array.length parts = 0 then invalid_arg "Ad.stack_rows: empty";
   let cols = (fst parts.(0)).value.T.cols in
   Array.iteri
@@ -1306,7 +1039,6 @@ let stack_rows ctx parts =
   n
 
 let cols ctx v ~pos ~len =
-  interp_only ctx "cols";
   if pos < 0 || len <= 0 || pos + len > v.value.T.cols then
     if !sanitize then
       raise
@@ -1322,7 +1054,6 @@ let cols ctx v ~pos ~len =
   n
 
 let concat_cols ctx parts =
-  interp_only ctx "concat_cols";
   if parts = [] then invalid_arg "Ad.concat_cols: empty";
   let parts = Array.of_list parts in
   let rows = parts.(0).value.T.rows in
@@ -1343,7 +1074,6 @@ let concat_cols ctx parts =
   n
 
 let row_blend ctx ~mask a b =
-  interp_only ctx "row_blend";
   if !sanitize then san_same ctx "row_blend" a b;
   if not (T.same_shape a.value b.value) then
     invalid_arg "Ad.row_blend: shape mismatch";
@@ -1356,7 +1086,6 @@ let row_blend ctx ~mask a b =
   n
 
 let mape_batch ctx pred ~targets =
-  interp_only ctx "mape_batch";
   if !sanitize && pred.value.T.cols <> 1 then
     raise
       (Shape_error
@@ -1376,7 +1105,6 @@ let mape_batch ctx pred ~targets =
   n
 
 let lstm_batch ctx ~cells ~batch steps =
-  interp_only ctx "lstm_batch";
   let bad fmt =
     Printf.ksprintf
       (fun m ->
@@ -1633,602 +1361,11 @@ let flow_audit ctx root =
 
 let last_flow_report ctx = ctx.last_flow
 
-(* ---- fused kernels ----
-
-   Only compiled plans run these, and only when sealed with sanitize off
-   (the record pass is always fully interpreted, so fused plans were
-   validated at record time).  Every kernel reproduces the unfused
-   sequence bit for bit: same elementwise expressions, same accumulation
-   order into shared buffers, including the [0.0 +. g] normalization that
-   interpreted zero-initialized adjoints introduce (it maps -0.0 to +0.0,
-   so skipping it would diverge on negative-zero gradients). *)
-
-let fadd3_forward (f : fadd3) =
-  let ov = f.a3out.value
-  and av = f.a3a.value
-  and bv = f.a3b.value
-  and cv = f.a3c.value in
-  let od = ov.T.data and ad = av.T.data and bd = bv.T.data and cd = cv.T.data in
-  let rows = ov.T.rows and cols = ov.T.cols in
-  for i = 0 to rows - 1 do
-    let ob = ov.T.off + (i * ov.T.rs)
-    and ab = av.T.off + (i * av.T.rs)
-    and bb = bv.T.off + (i * bv.T.rs)
-    and cb = cv.T.off + (i * cv.T.rs) in
-    for j = 0 to cols - 1 do
-      Bigarray.Array1.unsafe_set od (ob + j)
-        (Bigarray.Array1.unsafe_get ad (ab + j)
-         +. Bigarray.Array1.unsafe_get bd (bb + j)
-        +. Bigarray.Array1.unsafe_get cd (cb + j))
-    done
-  done
-
-let fadd3_backward (f : fadd3) =
-  let og = f.a3out.grad
-  and ag = f.a3a.grad
-  and bg = f.a3b.grad
-  and cg = f.a3c.grad in
-  let gd = og.T.data and ad = ag.T.data and bd = bg.T.data and cd = cg.T.data in
-  let rows = og.T.rows and cols = og.T.cols in
-  for i = 0 to rows - 1 do
-    let gb = og.T.off + (i * og.T.rs)
-    and ab = ag.T.off + (i * ag.T.rs)
-    and bb = bg.T.off + (i * bg.T.rs)
-    and cb = cg.T.off + (i * cg.T.rs) in
-    for j = 0 to cols - 1 do
-      let g = Bigarray.Array1.unsafe_get gd (gb + j) in
-      let t = 0.0 +. g in
-      Bigarray.Array1.unsafe_set cd (cb + j)
-        (Bigarray.Array1.unsafe_get cd (cb + j) +. g);
-      Bigarray.Array1.unsafe_set ad (ab + j)
-        (Bigarray.Array1.unsafe_get ad (ab + j) +. t);
-      Bigarray.Array1.unsafe_set bd (bb + j)
-        (Bigarray.Array1.unsafe_get bd (bb + j) +. t)
-    done
-  done
-
-(* A gate's input is a [slice], whose output is a single row, so one
-   flat loop covers it. *)
-let fgate_forward (g : fgate) =
-  let ov = g.fgout.value and sv = g.fgsrc.value in
-  let od = ov.T.data and sd = sv.T.data in
-  let ob = ov.T.off and sb = sv.T.off + g.fgpos in
-  if g.fgsig then
-    for j = 0 to T.size ov - 1 do
-      Bigarray.Array1.unsafe_set od (ob + j)
-        (1.0 /. (1.0 +. exp (-.Bigarray.Array1.unsafe_get sd (sb + j))))
-    done
-  else
-    for j = 0 to T.size ov - 1 do
-      Bigarray.Array1.unsafe_set od (ob + j)
-        (fast_tanh (Bigarray.Array1.unsafe_get sd (sb + j)))
-    done
-
-let fgate_backward (g : fgate) =
-  let ov = g.fgout.value and og = g.fgout.grad and sg = g.fgsrc.grad in
-  let od = ov.T.data and gd = og.T.data and sd = sg.T.data in
-  let ob = ov.T.off and gb = og.T.off and sb = sg.T.off + g.fgpos in
-  if g.fgsig then
-    for j = 0 to T.size ov - 1 do
-      let y = Bigarray.Array1.unsafe_get od (ob + j) in
-      let d = Bigarray.Array1.unsafe_get gd (gb + j) *. y *. (1.0 -. y) in
-      Bigarray.Array1.unsafe_set sd (sb + j)
-        (Bigarray.Array1.unsafe_get sd (sb + j) +. (0.0 +. d))
-    done
-  else
-    for j = 0 to T.size ov - 1 do
-      let y = Bigarray.Array1.unsafe_get od (ob + j) in
-      let d = Bigarray.Array1.unsafe_get gd (gb + j) *. (1.0 -. (y *. y)) in
-      Bigarray.Array1.unsafe_set sd (sb + j)
-        (Bigarray.Array1.unsafe_get sd (sb + j) +. (0.0 +. d))
-    done
-
-let fcell_forward (c : fcell) =
-  match (c.fcm1.op, c.fcm2.op) with
-  | Mul (a1, b1), Mul (a2, b2) ->
-      let ov = c.fcout.value in
-      let a1v = a1.value and b1v = b1.value
-      and a2v = a2.value and b2v = b2.value in
-      let od = ov.T.data in
-      let rows = ov.T.rows and cols = ov.T.cols in
-      for i = 0 to rows - 1 do
-        let ob = ov.T.off + (i * ov.T.rs)
-        and a1b = a1v.T.off + (i * a1v.T.rs)
-        and b1b = b1v.T.off + (i * b1v.T.rs)
-        and a2b = a2v.T.off + (i * a2v.T.rs)
-        and b2b = b2v.T.off + (i * b2v.T.rs) in
-        for j = 0 to cols - 1 do
-          Bigarray.Array1.unsafe_set od (ob + j)
-            ((Bigarray.Array1.unsafe_get a1v.T.data (a1b + j)
-             *. Bigarray.Array1.unsafe_get b1v.T.data (b1b + j))
-            +. (Bigarray.Array1.unsafe_get a2v.T.data (a2b + j)
-               *. Bigarray.Array1.unsafe_get b2v.T.data (b2b + j)))
-        done
-      done
-  | _ -> assert false
-
-let fcell_backward (c : fcell) =
-  match (c.fchi.op, c.fclo.op) with
-  | Mul (ha, hb), Mul (la, lb) ->
-      let og = c.fcout.grad in
-      let gd = og.T.data in
-      let rows = og.T.rows and cols = og.T.cols in
-      for i = 0 to rows - 1 do
-        let gb = og.T.off + (i * og.T.rs)
-        and hab = ha.grad.T.off + (i * ha.grad.T.rs)
-        and hbb = hb.grad.T.off + (i * hb.grad.T.rs)
-        and havb = ha.value.T.off + (i * ha.value.T.rs)
-        and hbvb = hb.value.T.off + (i * hb.value.T.rs)
-        and lab = la.grad.T.off + (i * la.grad.T.rs)
-        and lbb = lb.grad.T.off + (i * lb.grad.T.rs)
-        and lavb = la.value.T.off + (i * la.value.T.rs)
-        and lbvb = lb.value.T.off + (i * lb.value.T.rs) in
-        for j = 0 to cols - 1 do
-          let t = 0.0 +. Bigarray.Array1.unsafe_get gd (gb + j) in
-          Bigarray.Array1.unsafe_set ha.grad.T.data (hab + j)
-            (Bigarray.Array1.unsafe_get ha.grad.T.data (hab + j)
-            +. (t *. Bigarray.Array1.unsafe_get hb.value.T.data (hbvb + j)));
-          Bigarray.Array1.unsafe_set hb.grad.T.data (hbb + j)
-            (Bigarray.Array1.unsafe_get hb.grad.T.data (hbb + j)
-            +. (t *. Bigarray.Array1.unsafe_get ha.value.T.data (havb + j)));
-          Bigarray.Array1.unsafe_set la.grad.T.data (lab + j)
-            (Bigarray.Array1.unsafe_get la.grad.T.data (lab + j)
-            +. (t *. Bigarray.Array1.unsafe_get lb.value.T.data (lbvb + j)));
-          Bigarray.Array1.unsafe_set lb.grad.T.data (lbb + j)
-            (Bigarray.Array1.unsafe_get lb.grad.T.data (lbb + j)
-            +. (t *. Bigarray.Array1.unsafe_get la.value.T.data (lavb + j)))
-        done
-      done
-  | _ -> assert false
-
-(* ---- plan execution ---- *)
-
-(* Replay-time matvec: same fault site and beta rule as exec_forward's
-   Matvec branch, but through the vectorized C kernel (bitwise identical
-   to T.gemv; see lib/tensor/gemm_stubs.c).  The interpreted path keeps
-   the pure-OCaml kernel as the oracle. *)
-let exec_matvec_fast m x n =
-  let beta = if Dt_util.Faultsim.fire "ad.gemv_beta" then 1.0 else 0.0 in
-  T.gemv_fast ~m:m.value ~x:x.value ~y:n.value ~beta
-
-let exec_plan p =
-  (* Replay-time sanitize: the record pass already proved every other op
-     writes its full output as a pure function of its inputs, so the only
-     use-before-write risk left is the beta-accumulate class (gemv into
-     its own output slot).  Poison exactly those slots and scan them
-     after each execution; everything else was validated at seal. *)
-  if p.psan then
-    Array.iter
-      (fun n ->
-        let v = n.value in
-        T.fill_poison_buf v.T.data ~pos:v.T.off ~len:(T.size v))
-      p.pbeta;
-  for i = 0 to Array.length p.pinstrs - 1 do
-    match Array.unsafe_get p.pinstrs i with
-    | Pop n | Pmv n -> (
-        match n.op with
-        | Matvec (m, x) ->
-            exec_matvec_fast m x n;
-            if p.psan then ignore (san_output "matvec" n)
-        | _ -> exec_forward n)
-    | Pskip -> ()
-    | Pfadd3 f -> fadd3_forward f
-    | Pfgate g -> fgate_forward g
-    | Pfcell c -> fcell_forward c
-  done
-
-let plan_backward p =
-  (* One memset replaces the interpreter's per-node adjoint zeroing —
-     same bytes, same zero, one pass. *)
-  Bigarray.Array1.fill p.pgslab 0.0;
-  T.unsafe_set1 p.proot.grad 0 1.0;
-  for i = Array.length p.pinstrs - 1 downto 0 do
-    match Array.unsafe_get p.pinstrs i with
-    | Pop n -> backprop n
-    | Pmv n -> (
-        (* Input gradient now (downstream backprops read it); the weight
-           gradient is deferred to the batched pass below. *)
-        match n.op with
-        | Matvec (m, x) ->
-            T.gemv_t_fast ~m:m.value ~x:n.grad ~y:x.grad ~beta:1.0
-        | _ -> assert false)
-    | Pskip -> ()
-    | Pfadd3 f -> fadd3_backward f
-    | Pfgate g -> fgate_backward g
-    | Pfcell c -> fcell_backward c
-  done;
-  (* Leaf/const weight gradients: all of a matrix's rank-1 updates
-     back to back, in the same order the loop above would have applied
-     them.  Nothing read these gradients mid-pass (that's the deferral
-     condition), so this is bitwise identical — and the matrix stays
-     cache-hot across its whole update train. *)
-  Array.iter
-    (fun (g, xs, ys) ->
-      for t = 0 to Array.length xs - 1 do
-        T.ger_fast ~m:g ~x:xs.(t) ~y:ys.(t)
-      done)
-    p.pgers
-
-(* ---- sealing: tape -> plan ----
-
-   Runs right after a record pass, while the interpreted tape is intact.
-   Mirrors every tape node into plan-private nodes whose values and
-   adjoints live in two exactly-sized slabs (one slot per node, so
-   replay never grows an arena mid-loop), decides fusion groups, and
-   hoists the sanitizer's whole-graph work (shape checks happened during
-   the record pass; the flow audit is computed here once and
-   re-installed on every replay backward).  The record pass has already
-   refused batched ops, so the tape holds only per-sequence ones. *)
-
-let seal ctx ~root =
-  let n = ctx.count in
-  if n = 0 then invalid_arg "Ad.with_plan: trace recorded no tape nodes";
-  if root.ctx_id <> ctx.id || root.gen <> ctx.gen then
-    invalid_arg "Ad.with_plan: trace root is not a node of the traced tape";
-  let psan = !sanitize in
-  let pflow = if psan then Some (flow_audit ctx root) else None in
-  (* Temporarily use [mark] as the tape index (restored to 0 below so
-     later audit tokens can never collide with an index). *)
-  for i = 0 to n - 1 do
-    ctx.tape.(i).mark <- i
-  done;
-  let tape = ctx.tape in
-  let owned q = q.ctx_id = ctx.id && q.gen = ctx.gen in
-  (* Consumer counts, for single-consumer fusion eligibility. *)
-  let cnt = Array.make n 0 in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun o -> if owned o then cnt.(o.mark) <- cnt.(o.mark) + 1)
-      (operands tape.(i).op)
-  done;
-  (* Fusion decisions on the recorded tape (indices refer to the tape;
-     the mirrors reproduce the same structure).  Fusion stays on for
-     sanitize-sealed plans: the record pass validated every op
-     individually, and the replay-time poison scan only ever reads
-     matvec outputs, which are never fusion inners — so fused groups
-     cost the sanitizer nothing. *)
-  let dec = Array.make n `Pop in
-  let ri = root.mark in
-  for i = 2 to n - 1 do
-      if dec.(i) = `Pop then begin
-        match tape.(i).op with
-        | Add (x, y)
-          when owned x && owned y
-               && (match (x.op, y.op) with Mul _, Mul _ -> true | _ -> false)
-               && ((x.mark = i - 1 && y.mark = i - 2)
-                  || (x.mark = i - 2 && y.mark = i - 1))
-               && cnt.(x.mark) = 1 && cnt.(y.mark) = 1
-               && x.mark <> ri && y.mark <> ri
-               && dec.(x.mark) = `Pop && dec.(y.mark) = `Pop ->
-            dec.(x.mark) <- `Skip;
-            dec.(y.mark) <- `Skip;
-            dec.(i) <- `Cell
-        | Add (u, _)
-          when owned u && u.mark = i - 1
-               && (match u.op with Add _ -> true | _ -> false)
-               && cnt.(u.mark) = 1 && u.mark <> ri
-               && dec.(u.mark) = `Pop ->
-            dec.(u.mark) <- `Skip;
-            dec.(i) <- `Add3
-        | Unary (u, (Sigmoid | Tanh))
-          when owned u && u.mark = i - 1
-               && (match u.op with Slice _ -> true | _ -> false)
-               && cnt.(u.mark) = 1 && u.mark <> ri
-               && dec.(u.mark) = `Pop ->
-            dec.(u.mark) <- `Skip;
-            dec.(i) <- `Gate
-        | _ -> ()
-      end
-    done;
-  (* Slab offsets in tape order: a value slot for every node but the
-     views (Row, Slice), an adjoint slot for every node. *)
-  let off = Array.make n 0 and goff = Array.make n 0 in
-  let total = ref 0 and gtotal = ref 0 in
-  for i = 0 to n - 1 do
-    let size = T.size tape.(i).value in
-    (match tape.(i).op with
-    | Row _ | Slice _ -> ()
-    | _ ->
-        off.(i) <- !total;
-        total := !total + size);
-    goff.(i) <- !gtotal;
-    gtotal := !gtotal + size
-  done;
-  let pslab =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max !total 1)
-  in
-  let pgslab =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max !gtotal 1)
-  in
-  if psan then T.fill_poison_buf pslab ~pos:0 ~len:(max !total 1);
-  let pid = Atomic.fetch_and_add ctx_counter 1 in
-  let mirrors = Array.make n dummy in
-  let map q = if owned q then mirrors.(q.mark) else q in
-  for i = 0 to n - 1 do
-    let o = tape.(i) in
-    let op' =
-      match o.op with
-      | Leaf -> Leaf
-      | Const -> Const
-      | Matvec (m, x) -> Matvec (map m, map x)
-      | Row (m, r) -> Row (map m, r)
-      | Add (a, b) -> Add (map a, map b)
-      | Mul (a, b) -> Mul (map a, map b)
-      | Concat parts -> Concat (Array.map map parts)
-      | Slice (v, pos) -> Slice (map v, pos)
-      | Unary (v, k) -> Unary (map v, k)
-      | Max2 (a, b) -> Max2 (map a, map b)
-      | Div (a, b) -> Div (map a, map b)
-      | SumAll v -> SumAll (map v)
-      | ReduceMax (v, bi) -> ReduceMax (map v, bi)
-      | Mape (p, t) -> Mape (map p, t)
-      | Matmul _ | AddRow _ | StackRows _ | ColSlice _ | ConcatCols _
-      | RowBlend _ | MapeBatch _ | LstmBatch _ ->
-          assert false
-    in
-    let rows = o.value.T.rows and cols = o.value.T.cols in
-    let value =
-      match op' with
-      | Row (m, r) -> T.row_view m.value r
-      | Slice (v, pos) -> T.sub v.value ~pos ~len:cols
-      | _ -> T.of_buf pslab ~off:off.(i) ~rows ~cols
-    in
-    let grad = T.of_buf pgslab ~off:goff.(i) ~rows ~cols in
-    mirrors.(i) <- { value; grad; op = op'; ctx_id = pid; gen = 0; mark = i }
-  done;
-  (* ger deferral: a matvec's weight-gradient update (dM += dy x^T) may
-     be batched at the end of the reverse pass iff nothing reads M's
-     gradient mid-pass.  That holds exactly when M is a Leaf or Const
-     (no backprop of its own) used ONLY as the matrix operand of
-     matvecs: any other use would interleave accumulations into M.grad
-     with the deferred updates and change the per-element order.  The
-     input-gradient half (gemv_t) always stays in place — downstream
-     backprops consume it. *)
-  let disq : node list ref = ref [] in
-  for i = 0 to n - 1 do
-    match tape.(i).op with
-    | Matvec (_, x) -> disq := x :: !disq
-    | op -> List.iter (fun o -> disq := o :: !disq) (operands op)
-  done;
-  let defer_ok m =
-    (match m.op with Leaf | Const -> true | _ -> false)
-    && not (List.memq m !disq)
-  in
-  let fused = ref 0 in
-  let pinstrs =
-    Array.init n (fun i ->
-        match dec.(i) with
-        | `Pop -> (
-            match tape.(i).op with
-            | Matvec (m0, _) when defer_ok m0 -> Pmv mirrors.(i)
-            | _ -> Pop mirrors.(i))
-        | `Skip -> Pskip
-        | `Add3 -> (
-            incr fused;
-            let out = mirrors.(i) in
-            match out.op with
-            | Add (u, c) -> (
-                match u.op with
-                | Add (a, b) -> Pfadd3 { a3out = out; a3a = a; a3b = b; a3c = c }
-                | _ -> assert false)
-            | _ -> assert false)
-        | `Gate -> (
-            incr fused;
-            let out = mirrors.(i) in
-            match out.op with
-            | Unary (u, k) -> (
-                let s = match k with Sigmoid -> true | _ -> false in
-                match u.op with
-                | Slice (v, pos) ->
-                    Pfgate { fgout = out; fgsrc = v; fgpos = pos; fgsig = s }
-                | _ -> assert false)
-            | _ -> assert false)
-        | `Cell -> (
-            incr fused;
-            let out = mirrors.(i) in
-            match out.op with
-            | Add (m1, m2) ->
-                let hi, lo = if m1.mark > m2.mark then (m1, m2) else (m2, m1) in
-                Pfcell { fcout = out; fcm1 = m1; fcm2 = m2; fchi = hi; fclo = lo }
-            | _ -> assert false))
-  in
-  let pbeta =
-    Array.of_list
-      (List.filter
-         (fun m -> match m.op with Matvec _ -> true | _ -> false)
-         (Array.to_list mirrors))
-  in
-  (* Group the deferred gers by (mirrored) weight matrix.  Iterating the
-     schedule ascending and consing leaves each list head at the HIGHEST
-     tape index — exactly the descending order the reverse pass applies
-     them in, so no re-sort is needed. *)
-  let pgers =
-    let groups : (node * (node * node) list ref) list ref = ref [] in
-    Array.iter
-      (fun pi ->
-        match pi with
-        | Pmv nd -> (
-            match nd.op with
-            | Matvec (m, x) -> (
-                match List.find_opt (fun (w, _) -> w == m) !groups with
-                | Some (_, l) -> l := (nd, x) :: !l
-                | None -> groups := (m, ref [ (nd, x) ]) :: !groups)
-            | _ -> assert false)
-        | _ -> ())
-      pinstrs;
-    Array.of_list
-      (List.rev_map
-         (fun (w, l) ->
-           ( w.grad,
-             Array.of_list (List.map (fun (nd, _) -> nd.grad) !l),
-             Array.of_list (List.map (fun (_, x) -> x.value) !l) ))
-         !groups)
-  in
-  (* Restore audit scratch. *)
-  for i = 0 to n - 1 do
-    tape.(i).mark <- 0
-  done;
-  let pbytes = 8 * (max !total 1 + max !gtotal 1) in
-  Atomic.incr s_compiled;
-  ignore (Atomic.fetch_and_add s_fused !fused);
-  ignore (Atomic.fetch_and_add s_slab pbytes);
-  {
-    psan;
-    pnodes = mirrors;
-    pinstrs;
-    proot = mirrors.(ri);
-    pgslab;
-    pflow;
-    pbytes;
-    pbeta;
-    pgers;
-  }
-
-(* ---- plan cache + capture driver ----
-
-   Plans pay where one trace recurs: a per-block training step (table
-   descent, the Ithemal fit) revisits its block every pass.  A key is
-   recorded twice before its plan is sealed, so a one-off trace never
-   pays the seal, and a cache holds the 64 most recently used keys. *)
-
-let plan_capacity = 64
-let plan_warmup = 2
-
-type centry = { mutable cplan : plan option; mutable seen : int }
-
-type plan_cache = {
-  tbl : (string, centry) Hashtbl.t;
-  mutable order : string list; (* most recently used first *)
-  powner : Dt_util.Sync.owner;
-      (* a plan cache is confined to one domain at a time, like the ctx
-         whose arena its plans point into; DIFFTUNE_RACECHECK=1 turns
-         that convention into a checked invariant *)
-}
-
-let plan_cache () =
-  {
-    tbl = Hashtbl.create 64;
-    order = [];
-    powner = Dt_util.Sync.owner "ad.plan_cache";
-  }
-
-let drop_plan entry =
-  match entry.cplan with
-  | Some p ->
-      entry.cplan <- None;
-      Atomic.incr s_evictions;
-      ignore (Atomic.fetch_and_add s_slab (-p.pbytes))
-  | None -> ()
-
-let cache_touch c key =
-  c.order <- key :: List.filter (fun k -> not (String.equal k key)) c.order
-
-let cache_evict_excess c =
-  while Hashtbl.length c.tbl > plan_capacity do
-    match List.rev c.order with
-    | [] -> Hashtbl.reset c.tbl
-    | victim :: _ ->
-        (match Hashtbl.find_opt c.tbl victim with
-        | Some e -> drop_plan e
-        | None -> ());
-        Hashtbl.remove c.tbl victim;
-        c.order <- List.filter (fun k -> not (String.equal k victim)) c.order
-  done
-
-(* Every record pass refuses a batched op, so a batched trace under
-   [with_plan] fails on its first call rather than when it would seal. *)
-let reject_batched ctx =
-  for i = 0 to ctx.count - 1 do
-    match ctx.tape.(i).op with
-    | ( Matmul _ | AddRow _ | StackRows _ | ColSlice _ | ConcatCols _
-      | RowBlend _ | MapeBatch _ | LstmBatch _ ) as op ->
-        invalid_arg
-          (Printf.sprintf
-             "Ad.with_plan: the trace holds a batched op (%s); batched \
-              traces run on the interpreter"
-             (op_name op))
-    | _ -> ()
-  done
-
-let replay_plan ctx p f =
-  reset ctx;
-  let r = { rplan = p; cursor = 0 } in
-  ctx.mode <- Replay r;
-  let root =
-    Fun.protect
-      ~finally:(fun () -> ctx.mode <- Interp)
-      (fun () ->
-        let root = f ctx in
-        if r.cursor <> Array.length p.pnodes then
-          rmismatch "trace is shorter than the sealed plan";
-        if root != p.proot then rmismatch "trace returned a different root";
-        root)
-  in
-  exec_plan p;
-  ctx.replayed <- Some p;
-  root
-
-let with_plan cache ctx ~key f =
-  if not !compile_on then begin
-    reset ctx;
-    f ctx
-  end
-  else begin
-    Dt_util.Sync.with_owner cache.powner ~site:"Ad.with_plan" @@ fun () ->
-    let entry =
-      match Hashtbl.find_opt cache.tbl key with
-      | Some e -> e
-      | None ->
-          let e = { cplan = None; seen = 0 } in
-          Hashtbl.replace cache.tbl key e;
-          e
-    in
-    cache_touch cache key;
-    cache_evict_excess cache;
-    let record_pass () =
-      Atomic.incr s_misses;
-      entry.seen <- entry.seen + 1;
-      reset ctx;
-      let root = f ctx in
-      reject_batched ctx;
-      if entry.seen >= plan_warmup then begin
-        drop_plan entry;
-        entry.cplan <- Some (seal ctx ~root)
-      end;
-      root
-    in
-    match entry.cplan with
-    | Some p when Bool.equal p.psan !sanitize -> (
-        match replay_plan ctx p f with
-        | root ->
-            Atomic.incr s_hits;
-            root
-        | exception Plan_mismatch _ ->
-            (* Structure changed under an unchanged key (or a key
-               collision): evict and re-record.  Keys are a performance
-               hint, never a correctness input. *)
-            drop_plan entry;
-            record_pass ())
-    | Some _ ->
-        (* sanitize mode changed since sealing *)
-        drop_plan entry;
-        record_pass ()
-    | None -> record_pass ()
-  end
-
 let backward ctx loss =
-  match ctx.replayed with
-  | Some p when loss == p.proot ->
-      plan_backward p;
-      if !sanitize then ctx.last_flow <- p.pflow
-  | Some _ ->
-      invalid_arg
-        "Ad.backward: loss is not the root of the plan this context replayed"
-  | None ->
-      if !sanitize then san_operand ctx "backward" loss;
-      if T.size loss.value <> 1 then invalid_arg "Ad.backward: loss not scalar";
-      T.unsafe_set1 loss.grad 0 1.0;
-      for i = ctx.count - 1 downto 0 do
-        backprop ctx.tape.(i)
-      done;
-      if !sanitize then ctx.last_flow <- Some (flow_audit ctx loss)
+  if !sanitize then san_operand ctx "backward" loss;
+  if T.size loss.value <> 1 then invalid_arg "Ad.backward: loss not scalar";
+  T.unsafe_set1 loss.grad 0 1.0;
+  for i = ctx.count - 1 downto 0 do
+    backprop ctx.tape.(i)
+  done;
+  if !sanitize then ctx.last_flow <- Some (flow_audit ctx loss)

@@ -13,7 +13,10 @@
     This is the machinery that makes the surrogate differentiable — and
     hence the whole point of DiffTune: gradients flow both into network
     weights (surrogate training, Eq. 2) and into the parameter-table
-    inputs (simulator parameter optimization, Eq. 3). *)
+    inputs (simulator parameter optimization, Eq. 3).  It is the only
+    executor: every trace, from a one-block descent step to a batched
+    training step, runs on this interpreter, and an LSTM stack of any
+    batch size is one {!lstm_batch} node. *)
 
 type ctx
 type node
@@ -42,7 +45,7 @@ type node
      subgraphs); see {!last_flow_report}.
 
    Correct programs behave identically with sanitize on or off, just
-   slower; see BENCH_PR3.json for the measured overhead. *)
+   slower; see BENCH_PR25.json for the measured overhead. *)
 
 exception Shape_error of string
 exception Use_after_reset of string
@@ -163,8 +166,7 @@ val mape : ctx -> node -> target:float -> node
    audit), and both matmul gradient paths are expressed as gemm calls
    into existing gradient buffers (the beta-accumulate class; the
    [ad.gemm_beta] fault site reintroduces the fresh-slot-accumulate bug
-   for the poison detector).  They run only on the interpreter:
-   {!with_plan} raises [Invalid_argument] on a trace that records one. *)
+   for the poison detector). *)
 
 (** [matmul ctx ~x ~w] — [x w^T] with [x : B x k] and [w : n x k]
     ([w] laid out exactly as {!matvec}'s matrix, so the same weight leaf
@@ -205,7 +207,8 @@ val mape_batch : ctx -> node -> targets:float array -> node
 
 (** [lstm_batch ctx ~cells ~batch steps] — a stacked LSTM over [batch]
     right-padded sequences, recorded as one node whose value is the top
-    layer's final [batch x hidden] state.  [cells.(l) = (wx, wh, b)] are
+    layer's final [batch x hidden] state.  At [batch = 1] with no masks
+    it is the per-sequence LSTM.  [cells.(l) = (wx, wh, b)] are
     layer [l]'s weights ([4h x input], [4h x h], [1 x 4h]; gates in
     [i f g o] order; every node distinct); each step is a
     [batch x input] node and an optional mask, where a row whose mask
@@ -228,84 +231,18 @@ val lstm_batch :
   node
 
 (** [backward ctx loss] seeds the loss adjoint with 1 and runs the tape in
-    reverse, accumulating into every reachable gradient buffer.
-
-    If the context's last forward pass was a compiled-plan replay (see
-    {!with_plan}) and [loss] is that plan's root, the reverse pass runs
-    on the plan's fused schedule instead of the tape — bit-for-bit
-    identical adjoints, one slab memset instead of per-node zeroing. *)
+    reverse, accumulating into every reachable gradient buffer. *)
 val backward : ctx -> node -> unit
 
-(* ---- compiled plans: record once, plan, fuse, replay ----
-
-   A per-block training step (table descent keyed by its block, the
-   Ithemal fit keyed likewise) runs the same trace every time its block
-   comes round, yet the interpreter re-derives it from scratch every
-   time: node and tensor allocation, per-op dispatch, adjoint zeroing,
-   sanitizer checks.  {!with_plan} removes that overhead while keeping
-   the interpreter as the bit-exact oracle:
-
-   - {e record}: the first two calls under a key run fully interpreted —
-     the tape IS the recording, so record passes cost exactly one
-     interpreted pass and produce exactly its bits.
-   - {e seal}: the second record pass compiles the tape into a plan:
-     every node is mirrored into exactly-sized value and adjoint slabs
-     (replay never grows an arena), adjacent elementwise ops are fused
-     into single passes (the LSTM gate slice+sigmoid/tanh, x+h+bias
-     chains, the f*c + i*g cell update), and whole-graph sanitizer work
-     (flow audit, shape checks) is hoisted to this one pass.
-   - {e replay}: later calls re-run the caller's trace function against
-     a cursor over the sealed plan.  Each op call verifies structure by
-     physical operand identity and rebinds per-call immediates (constant
-     payloads, MAPE targets), then the plan's kernels execute in one
-     batch.  Forward values, losses, and every parameter gradient are
-     bitwise identical to the interpreted path: replay uses the same
-     kernels in the same order on the same operand data, and fused
-     kernels replicate the unfused accumulation sequences exactly.
-
-   Any structural divergence during replay (different op sequence,
-   shapes, or operands under an unchanged key) silently evicts the plan
-   and falls back to a fresh record pass — cache keys affect performance
-   only, never correctness.  Toggling sanitize likewise invalidates a
-   sealed plan.
-
-   Batched traces ({!matmul} and its kin) are not captured: their shape
-   profile recurs too rarely for a plan to replay, so they run on the
-   interpreter by design. *)
-
-(** [set_compile false] forces every {!with_plan} call through the plain
-    interpreter, the oracle that tests compare replay against;
-    [set_compile true] (the default) restores replay.  No environment
-    variable sets it. *)
-val set_compile : bool -> unit
-
-(** A bounded LRU cache of sealed plans (the 64 most recently used
-    keys).  Like a context, a cache is a single-caller workspace: share
-    it across domains by giving each replica its own (it performs no
-    locking). *)
-type plan_cache
-
-val plan_cache : unit -> plan_cache
-
-(** [with_plan cache ctx ~key f] runs the trace [f ctx] under the
-    compiled executor and returns its root node; call {!backward} on it
-    afterwards.  [f] must express its whole computation through this
-    module's per-sequence ops on [ctx] (the context is reset first; do
-    not call {!reset} or {!backward} inside [f]).  A key is recorded
-    twice before its plan is sealed, so one-off traces never pay the
-    seal cost.  Raises [Invalid_argument] if the trace records a batched
-    op.  With compilation disabled this is exactly [reset ctx; f ctx]. *)
-val with_plan : plan_cache -> ctx -> key:string -> (ctx -> node) -> node
-
-(** Process-wide compiled-executor counters (atomic, cheap to read). *)
+(** Counters of a compiled plan executor that no longer exists: every
+    field always reads 0.  The record stays because the end-to-end
+    benchmark's per-phase [ad.*] rows read these four fields, and only a
+    change to that benchmark may drop them. *)
 type plan_stats = {
   plans_compiled : int;
-  plan_hits : int;  (** calls that replayed a sealed plan *)
-  plan_misses : int;  (** record passes *)
+  plan_hits : int;
+  plan_misses : int;
   plan_evictions : int;
-  fused_ops : int;  (** fusion groups across all live compiles *)
-  slab_bytes : int;  (** bytes currently held by sealed plans *)
 }
 
 val plan_stats : unit -> plan_stats
-val reset_plan_stats : unit -> unit

@@ -944,19 +944,15 @@ let validation_error (spec : Spec.t) table valid =
 
 (* Per-lane state for the parameter-descent phase: a relaxed table
    (leaves + store) for the lane's traces to read, a frozen-surrogate
-   replica, and the context and plan cache those traces run in.  Tasks
-   on one pool lane never overlap, so a lane's cache sees every block
-   the lane visits, whichever shard the block falls in: while it fits
-   in the cache, each block is recorded twice, sealed once and
-   replayed on every later visit.  Plan caches, like contexts, are
-   single-caller. *)
+   replica, and the context those traces run in.  Tasks on one pool
+   lane never overlap, so a lane's context, like any context, has one
+   caller at a time. *)
 type theta_replica = {
   tstore : Nn.Store.t;
   pnode : Ad.node;
   gnode : Ad.node;
   smodel : Model.t;
   tctx : Ad.ctx;
-  tplans : Ad.plan_cache;
 }
 
 let table_fp config (spec : Spec.t) ~n ~init ~n_valid =
@@ -1069,7 +1065,6 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
             gnode;
             smodel = replicate model;
             tctx = Ad.new_ctx ();
-            tplans = Ad.plan_cache ();
           })
     in
     (* The frozen surrogate's token stage, once per eligible block:
@@ -1093,52 +1088,45 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
       for step = lo to hi - 1 do
         let bi = sched.(step) in
         let block, y = eligible.(bi) in
-        (* A block recurs across passes and epochs, and its trace is
-           fixed (the theta leaves change values, not structure), so
-           each step replays its block's compiled plan; the theta
-           gradients it accumulates are bitwise those of the
-           interpreted tape. *)
+        Ad.reset ctx;
         let loss =
-          Ad.with_plan r.tplans ctx
-            ~key:("tbl|" ^ spec.name ^ "|" ^ Dt_x86.Block.to_string block)
-            (fun ctx ->
-              let scale_node v = Ad.constant ctx v in
-              let per_inputs =
-                Array.map
-                  (fun (instr : Dt_x86.Instruction.t) ->
-                    let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
-                    let row = Ad.abs_ ctx row in
-                    let row =
-                      if spec.per_width = T.size (Ad.value row) then row
-                      else Ad.slice ctx row ~pos:0 ~len:spec.per_width
-                    in
-                    Ad.mul ctx row (scale_node per_scale))
-                  block.instrs
-              in
-              let global_input =
-                if spec.global_width = 0 then None
-                else
-                  let gview = Ad.row ctx ~m:r.gnode 0 in
-                  let g = Ad.abs_ ctx gview in
-                  Some (Ad.mul ctx g (scale_node global_scale))
-              in
-              let params =
-                { Model.per_instr = per_inputs; global = global_input }
-              in
-              let features =
-                if (Model.config r.smodel).feature_width = 0 then None
-                else
-                  match spec.bounds with
-                  | Some f ->
-                      Some (f ctx block ~per:per_inputs ~global:global_input)
-                  | None -> None
-              in
-              let pred =
-                Model.instr_stage r.smodel ctx
-                  (Array.map (Ad.constant ctx) token_h.(bi))
-                  ~params:(Some params) ~features
-              in
-              Ad.mape ctx pred ~target:(Float.max y 1e-3))
+          let scale_node v = Ad.constant ctx v in
+          let per_inputs =
+            Array.map
+              (fun (instr : Dt_x86.Instruction.t) ->
+                let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
+                let row = Ad.abs_ ctx row in
+                let row =
+                  if spec.per_width = T.size (Ad.value row) then row
+                  else Ad.slice ctx row ~pos:0 ~len:spec.per_width
+                in
+                Ad.mul ctx row (scale_node per_scale))
+              block.instrs
+          in
+          let global_input =
+            if spec.global_width = 0 then None
+            else
+              let gview = Ad.row ctx ~m:r.gnode 0 in
+              let g = Ad.abs_ ctx gview in
+              Some (Ad.mul ctx g (scale_node global_scale))
+          in
+          let params =
+            { Model.per_instr = per_inputs; global = global_input }
+          in
+          let features =
+            if (Model.config r.smodel).feature_width = 0 then None
+            else
+              match spec.bounds with
+              | Some f ->
+                  Some (f ctx block ~per:per_inputs ~global:global_input)
+              | None -> None
+          in
+          let pred =
+            Model.instr_stage r.smodel ctx
+              (Array.map (Ad.constant ctx) token_h.(bi))
+              ~params:(Some params) ~features
+          in
+          Ad.mape ctx pred ~target:(Float.max y 1e-3)
         in
         Ad.backward ctx loss;
         losses.(step) <- Ad.scalar_value loss
@@ -1361,19 +1349,18 @@ let fit_ithemal config ~features rng model eligible =
   in
   let in_batch = ref 0 in
   let ctx = Ad.new_ctx () in
-  let plans = Ad.plan_cache () in
   let block_loss = Array.make (max n 1) 0.0 in
   let do_step step bi =
     let block, y = eligible.(bi) in
     let bstr = Dt_x86.Block.to_string block in
+    Ad.reset ctx;
     let loss =
-      Ad.with_plan plans ctx ~key:("ith|" ^ bstr) (fun ctx ->
-          let features =
-            if (Model.config model).feature_width = 0 then None
-            else Some (Ad.constant ctx (T.vector (Hashtbl.find feats bstr)))
-          in
-          let pred = Model.predict model ctx block ~params:None ~features in
-          Ad.mape ctx pred ~target:(Float.max y 1e-3))
+      let features =
+        if (Model.config model).feature_width = 0 then None
+        else Some (Ad.constant ctx (T.vector (Hashtbl.find feats bstr)))
+      in
+      let pred = Model.predict model ctx block ~params:None ~features in
+      Ad.mape ctx pred ~target:(Float.max y 1e-3)
     in
     Ad.backward ctx loss;
     block_loss.(bi) <- Ad.scalar_value loss;

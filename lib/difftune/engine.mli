@@ -149,13 +149,11 @@ val train_surrogate :
     full {!Model.predict} graph, bit for bit.
 
     Each minibatch is split into the same fixed shards as
-    {!train_surrogate}.  Every pool lane keeps one surrogate replica,
-    autodiff context and 64-plan cache, and runs whichever shards it
-    takes; a shard's theta gradients go to that shard's own slot, and
-    the slots are summed in shard order.  The table is therefore
-    bit-identical whatever [DIFFTUNE_DOMAINS] says, and a block that
-    recurs on a lane is recorded twice, sealed once and replayed from
-    then on. *)
+    {!train_surrogate}.  Every pool lane keeps one surrogate replica
+    and autodiff context, and runs whichever shards it takes; a shard's
+    theta gradients go to that shard's own slot, and the slots are
+    summed in shard order.  The table is therefore bit-identical
+    whatever [DIFFTUNE_DOMAINS] says. *)
 val optimize_table :
   ?init:Spec.table ->
   ?valid:(Dt_x86.Block.t * float) array ->
@@ -212,7 +210,7 @@ val train_ithemal :
     retraining for the serving lifecycle: fine-tunes a {e clone} of
     [init] (never [init] itself, which may be live in a degradation
     chain) on freshly collected traffic, reusing the same fitting loop
-    (and compiled-plan replay) as {!train_ithemal}.  [train] is
+    as {!train_ithemal}.  [train] is
     typically the lifecycle's shadow-score reservoir — (block,
     reference-simulator timing) pairs harvested from live requests, the
     Turaco-style reuse of traffic as training data.  The optimization

@@ -108,7 +108,7 @@ module Embedding = struct
 end
 
 module Lstm = struct
-  type cell = { wx : Ad.node; wh : Ad.node; b : Ad.node; hidden : int }
+  type cell = { wx : Ad.node; wh : Ad.node; b : Ad.node }
 
   type t = { cells : cell array; hidden : int }
 
@@ -126,7 +126,6 @@ module Lstm = struct
         Store.param store ~name:(name ^ ".wh")
           (xavier rng ~rows:(4 * hidden) ~cols:hidden);
       b = Store.param store ~name:(name ^ ".b") b;
-      hidden;
     }
 
   let create store rng ~name ~input ~hidden ~layers =
@@ -142,37 +141,6 @@ module Lstm = struct
 
   let hidden_size t = t.hidden
 
-  (* One LSTM step: gates in [i f g o] order. *)
-  let step cell ctx ~x ~h ~c =
-    let h_part = Ad.matvec ctx ~m:cell.wh ~x:h in
-    let x_part = Ad.matvec ctx ~m:cell.wx ~x in
-    let z = Ad.add ctx (Ad.add ctx x_part h_part) cell.b in
-    let hd = cell.hidden in
-    let i = Ad.sigmoid ctx (Ad.slice ctx z ~pos:0 ~len:hd) in
-    let f = Ad.sigmoid ctx (Ad.slice ctx z ~pos:hd ~len:hd) in
-    let g = Ad.tanh_ ctx (Ad.slice ctx z ~pos:(2 * hd) ~len:hd) in
-    let o = Ad.sigmoid ctx (Ad.slice ctx z ~pos:(3 * hd) ~len:hd) in
-    let c' = Ad.add ctx (Ad.mul ctx f c) (Ad.mul ctx i g) in
-    let h' = Ad.mul ctx o (Ad.tanh_ ctx c') in
-    (h', c')
-
-  let forward t ctx inputs =
-    if inputs = [] then invalid_arg "Lstm.forward: empty sequence";
-    let zeros () = Ad.constant ctx (T.zeros ~rows:1 ~cols:t.hidden) in
-    let states = Array.map (fun _ -> (zeros (), zeros ())) t.cells in
-    List.iter
-      (fun input ->
-        let x = ref input in
-        Array.iteri
-          (fun l cell ->
-            let h, c = states.(l) in
-            let h', c' = step cell ctx ~x:!x ~h ~c in
-            states.(l) <- (h', c');
-            x := h')
-          t.cells)
-      inputs;
-    fst states.(Array.length states - 1)
-
   (* Batched stacked LSTM over right-padded sequences: one
      [Ad.lstm_batch] node for the whole stack.  Rows whose mask is 0 are
      padding and keep the previous h/c by copy, so a sequence's final
@@ -187,6 +155,11 @@ module Lstm = struct
     Ad.lstm_batch ctx ~batch
       ~cells:(Array.map (fun c -> (c.wx, c.wh, c.b)) t.cells)
       inputs
+
+  (* One sequence is a batch of one with no padding. *)
+  let forward t ctx inputs =
+    if inputs = [] then invalid_arg "Lstm.forward: empty sequence";
+    forward_batch t ctx ~batch:1 (List.map (fun x -> (x, None)) inputs)
 end
 
 module Optimizer = struct

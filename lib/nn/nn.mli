@@ -101,7 +101,8 @@ module Lstm : sig
   val hidden_size : t -> int
 
   (** [forward t ctx inputs] runs the stack over the sequence (empty
-      input is invalid) and returns the final top hidden state. *)
+      input is invalid) and returns the final top hidden state: one
+      {!Ad.lstm_batch} node at batch 1, with no masks. *)
   val forward : t -> Ad.ctx -> Ad.node list -> Ad.node
 
   (** [forward_batch t ctx ~batch inputs] runs the stack over B

@@ -99,7 +99,7 @@ type param_inputs = { per_instr : Ad.node array; global : Ad.node option }
    θ joins the network only after the token LSTM (paper Figure 3), so a
    block's token-stage output does not depend on the parameter inputs:
    a frozen surrogate's descent can compute it once per block and feed
-   it back as constants, replaying only the instruction stage. *)
+   it back as constants, tracing only the instruction stage per step. *)
 
 let token_stage t ctx (block : Dt_x86.Block.t) =
   Array.map
@@ -362,9 +362,6 @@ let forward_batch t ctx (samples : batch_sample array) =
 
 (* ---- batched entry points ----
 
-   Both run the interpreter: a minibatch's trace is fixed by its shape
-   profile (per-sample instruction and token counts), and shuffled
-   training seldom repeats one, so a sealed plan would rarely replay.
    A one-sample batch is the scalar prediction: there is no separate
    per-sequence forward entry point. *)
 

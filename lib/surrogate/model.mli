@@ -86,7 +86,8 @@ val token_stage :
     {!predict}'s value and its gradients into [params] and [features]
     bit for bit; gradients into the token LSTM and the embedding stop
     there.  A frozen surrogate's table descent uses this: it computes
-    each block's token stage once and replays only this stage. *)
+    each block's token stage once and traces only this stage on every
+    step. *)
 val instr_stage :
   t -> Dt_autodiff.Ad.ctx -> Dt_autodiff.Ad.node array ->
   params:param_inputs option -> features:Dt_autodiff.Ad.node option ->
@@ -124,9 +125,7 @@ val forward_batch : t -> Dt_autodiff.Ad.ctx -> batch_sample array -> Dt_autodiff
     {!forward_batch}, sums the per-sample MAPE losses ([targets] must be
     positive) and runs backward, accumulating weight gradients — exactly
     the sum of the per-sequence gradients.  Returns the per-sample
-    losses.  It runs the interpreter: a minibatch's shape profile seldom
-    recurs, so no compiled plan is recorded for it.  One domain at a
-    time may train or predict through [t]; with
+    losses.  One domain at a time may train or predict through [t]; with
     [DIFFTUNE_RACECHECK=1] an overlap raises {!Dt_util.Sync.Race}. *)
 val train_batch :
   t -> Dt_autodiff.Ad.ctx -> batch_sample array -> targets:float array ->

@@ -270,118 +270,6 @@ let ger ~m ~x ~y =
       done
   end
 
-(* Executes the update sequence [ger ~m ~x:xs.(t) ~y:ys.(t)] for
-   t = 0 .. len-1 in ONE pass over [m].  Per element the accumulations
-   happen in exactly the same order (t ascending) with exactly the same
-   pairwise zero-skip as the call sequence, so the result is bitwise
-   identical — but each row of [m] is loaded and stored once instead of
-   once per call, which is what makes a deferred, batched reverse pass
-   over an LSTM's weight gradients cheap. *)
-let ger_seq ~m ~xs ~ys =
-  let tlen = Array.length xs in
-  if Array.length ys <> tlen then invalid_arg "Tensor.ger_seq: rank mismatch";
-  if tlen > 0 then begin
-    Array.iter (fun x -> check_vec "ger_seq" x m.rows) xs;
-    Array.iter (fun y -> check_vec "ger_seq" y m.cols) ys;
-    let md = m.data in
-    let cols = m.cols and rows = m.rows in
-    (* The row pair accumulates in an unboxed scratch: the inner j loop
-       has the same shape as [ger]'s, but the matrix row is loaded and
-       stored once per pair instead of once per update. *)
-    let a0 = Array.make cols 0.0 and a1 = Array.make cols 0.0 in
-    let i = ref 0 in
-    while !i + 2 <= rows do
-      let i0 = !i in
-      let b0 = m.off + (i0 * m.rs) in
-      let b1 = b0 + m.rs in
-      for j = 0 to cols - 1 do
-        Array.unsafe_set a0 j (Bigarray.Array1.unsafe_get md (b0 + j));
-        Array.unsafe_set a1 j (Bigarray.Array1.unsafe_get md (b1 + j))
-      done;
-      for t = 0 to tlen - 1 do
-        let x = Array.unsafe_get xs t and y = Array.unsafe_get ys t in
-        let x0 = Bigarray.Array1.unsafe_get x.data (x.off + i0)
-        and x1 = Bigarray.Array1.unsafe_get x.data (x.off + i0 + 1) in
-        if x0 <> 0.0 || x1 <> 0.0 then begin
-          let yd = y.data and yo = y.off in
-          for j = 0 to cols - 1 do
-            let yj = Bigarray.Array1.unsafe_get yd (yo + j) in
-            Array.unsafe_set a0 j (Array.unsafe_get a0 j +. (x0 *. yj));
-            Array.unsafe_set a1 j (Array.unsafe_get a1 j +. (x1 *. yj))
-          done
-        end
-      done;
-      for j = 0 to cols - 1 do
-        Bigarray.Array1.unsafe_set md (b0 + j) (Array.unsafe_get a0 j);
-        Bigarray.Array1.unsafe_set md (b1 + j) (Array.unsafe_get a1 j)
-      done;
-      i := i0 + 2
-    done;
-    if !i < rows then begin
-      let base = m.off + (!i * m.rs) in
-      for j = 0 to cols - 1 do
-        Array.unsafe_set a0 j (Bigarray.Array1.unsafe_get md (base + j))
-      done;
-      for t = 0 to tlen - 1 do
-        let x = Array.unsafe_get xs t and y = Array.unsafe_get ys t in
-        let xi = Bigarray.Array1.unsafe_get x.data (x.off + !i) in
-        if xi <> 0.0 then begin
-          let yd = y.data and yo = y.off in
-          for j = 0 to cols - 1 do
-            Array.unsafe_set a0 j
-              (Array.unsafe_get a0 j
-              +. (xi *. Bigarray.Array1.unsafe_get yd (yo + j)))
-          done
-        end
-      done;
-      for j = 0 to cols - 1 do
-        Bigarray.Array1.unsafe_set md (base + j) (Array.unsafe_get a0 j)
-      done
-    end
-  end
-
-(* ---- compiled-plan fast path ----
-
-   C implementations of the gemv family (gemm_stubs.c, compiled with
-   auto-vectorization on but contraction and reassociation off) that
-   perform bit-for-bit the same reduction as the OCaml bodies above.
-   ocamlopt emits scalar float code only; the C kernels vectorize
-   across independent output elements, which cannot change any single
-   element's result.  The interpreted autodiff tape keeps calling the
-   OCaml kernels — they are the readable reference, and the oracle the
-   plan equivalence tests compare against — while the compiled plan
-   executor in lib/autodiff calls these. *)
-
-external gemv_stub :
-  buf -> int -> int -> int -> int -> buf -> int -> buf -> int -> float -> unit
-  = "caml_dt_gemv_bc" "caml_dt_gemv"
-[@@noalloc]
-
-external gemv_t_stub :
-  buf -> int -> int -> int -> int -> buf -> int -> buf -> int -> float -> unit
-  = "caml_dt_gemv_t_bc" "caml_dt_gemv_t"
-[@@noalloc]
-
-external ger_stub :
-  buf -> int -> int -> int -> int -> buf -> int -> buf -> int -> unit
-  = "caml_dt_ger_bc" "caml_dt_ger"
-[@@noalloc]
-
-let gemv_fast ~m ~x ~y ~beta =
-  check_vec "gemv" x m.cols;
-  check_vec "gemv" y m.rows;
-  gemv_stub m.data m.off m.rs m.rows m.cols x.data x.off y.data y.off beta
-
-let gemv_t_fast ~m ~x ~y ~beta =
-  check_vec "gemv_t" x m.rows;
-  check_vec "gemv_t" y m.cols;
-  gemv_t_stub m.data m.off m.rs m.rows m.cols x.data x.off y.data y.off beta
-
-let ger_fast ~m ~x ~y =
-  check_vec "ger" x m.rows;
-  check_vec "ger" y m.cols;
-  ger_stub m.data m.off m.rs m.rows m.cols x.data x.off y.data y.off
-
 let axpy ~alpha ~x ~y =
   if not (same_shape x y) then invalid_arg "Tensor.axpy: shape mismatch";
   let xd = x.data and yd = y.data in

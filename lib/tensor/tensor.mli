@@ -104,25 +104,6 @@ val gemv_t : m:t -> x:t -> y:t -> beta:float -> unit
     indexes rows of [m]. *)
 val ger : m:t -> x:t -> y:t -> unit
 
-(** [ger_seq ~m ~xs ~ys] applies the rank-1 updates
-    [ger ~m ~x:xs.(t) ~y:ys.(t)] for [t = 0 .. len-1] in a single pass
-    over [m].  Bitwise identical to the equivalent call sequence (same
-    per-element accumulation order, same zero-skips) but with [m]'s
-    memory traffic paid once instead of once per update. *)
-val ger_seq : m:t -> xs:t array -> ys:t array -> unit
-
-(** Bitwise-identical C implementations of {!gemv} / {!gemv_t} /
-    {!ger}, used by the compiled plan executor in [lib/autodiff].  Each
-    output element performs exactly the reduction of the OCaml
-    reference (same products, same tree shape, same zero-skip rule);
-    the C build vectorizes only across independent output elements and
-    disables contraction, so no result bit differs.  The interpreted
-    tape keeps the OCaml kernels as the oracle. *)
-val gemv_fast : m:t -> x:t -> y:t -> beta:float -> unit
-
-val gemv_t_fast : m:t -> x:t -> y:t -> beta:float -> unit
-val ger_fast : m:t -> x:t -> y:t -> unit
-
 (** [axpy ~alpha ~x ~y] computes [y <- alpha * x + y]. *)
 val axpy : alpha:float -> x:t -> y:t -> unit
 

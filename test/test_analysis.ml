@@ -312,15 +312,15 @@ let test_lint_tape_op_loop () =
   in
   check_findings "tape-op-loop" findings
     [ ("tape-op-loop", 6); ("tape-op-loop", 7) ];
-  (* The capture sites themselves are whitelisted: their loops record a
-     trace once per plan, and the suppression is counted. *)
+  (* The surrogate's trace builder is whitelisted, and the suppression
+     is counted. *)
   let findings, suppressed =
     lint_fixture ~path:"lib/surrogate/model.ml" "tape_op_loop.ml"
   in
   check_findings "capture site whitelisted" findings [];
   Alcotest.(check int) "suppressions counted" 2 suppressed;
   (* Outside lib/nn and lib/surrogate the rule does not apply (the
-     engine's shard tasks trace through Model, which owns the plans). *)
+     engine's shard tasks trace through Model). *)
   let findings, suppressed =
     lint_fixture ~path:"lib/difftune/engine.ml" "tape_op_loop.ml"
   in

@@ -436,6 +436,131 @@ let test_lstm_fused_equals_reference () =
         [ 1; 2; 3 ])
     [ 1; 2; 3; 5; 17 ]
 
+(* ---- the fused stack at batch 1 vs the per-sequence composition ----
+
+   [Nn.Lstm.forward] is [Ad.lstm_batch] at batch 1 with no masks.  It
+   replaced the per-step composition below, which stays here as the
+   bitwise reference and nothing in the library calls: per layer and
+   step two matvecs, two adds, four slices through sigmoid/tanh,
+   [f c + i g] and [o tanh c'], from zero constant states. *)
+
+let sequence_step ctx (wx, wh, b) ~hd ~x ~h ~c =
+  let h_part = Ad.matvec ctx ~m:wh ~x:h in
+  let x_part = Ad.matvec ctx ~m:wx ~x in
+  let z = Ad.add ctx (Ad.add ctx x_part h_part) b in
+  let i = Ad.sigmoid ctx (Ad.slice ctx z ~pos:0 ~len:hd) in
+  let f = Ad.sigmoid ctx (Ad.slice ctx z ~pos:hd ~len:hd) in
+  let g = Ad.tanh_ ctx (Ad.slice ctx z ~pos:(2 * hd) ~len:hd) in
+  let o = Ad.sigmoid ctx (Ad.slice ctx z ~pos:(3 * hd) ~len:hd) in
+  let c' = Ad.add ctx (Ad.mul ctx f c) (Ad.mul ctx i g) in
+  let h' = Ad.mul ctx o (Ad.tanh_ ctx c') in
+  (h', c')
+
+let sequence_lstm ctx cells ~hd inputs =
+  let zeros () = Ad.constant ctx (T.zeros ~rows:1 ~cols:hd) in
+  let states = Array.map (fun _ -> (zeros (), zeros ())) cells in
+  List.iter
+    (fun input ->
+      let x = ref input in
+      Array.iteri
+        (fun l cell ->
+          let h, c = states.(l) in
+          let h', c' = sequence_step ctx cell ~hd ~x:!x ~h ~c in
+          states.(l) <- (h', c');
+          x := h')
+        cells)
+    inputs;
+  fst states.(Array.length states - 1)
+
+(* Random layer counts, widths and lengths; saturated weights on every
+   fourth case (gates reach exactly 0 or 1), an input node now and then
+   fed to two steps, and a loss seed with zero entries.  Output, loss,
+   every weight gradient and every input gradient must agree bit for
+   bit.  Weight gradient buffers start at +0.0 or at finite nonzero
+   values, as every real one does: they are zeroed to +0.0, and a
+   round-to-nearest sum that starts at +0.0 never yields -0.0.  An entry
+   that held -0.0 would be the one exception: where a coefficient is
+   zero (the zero initial h of step 0, or a saturated gate), the
+   composition's [ger] adds the +0.0 product and turns it into +0.0,
+   while [gemm_tn] skips the product and keeps -0.0.  Over these 400
+   cases no float differs; with the weight gradient buffers started a
+   third at +0.0, a third at -0.0 and a third at values instead, 17,787
+   do. *)
+let test_lstm_batch1_equals_sequence () =
+  let rng = Rng.create 59 in
+  for case = 1 to 400 do
+    let layers = 1 + Rng.int rng 3
+    and hd = 1 + Rng.int rng 24
+    and input = 1 + Rng.int rng 30
+    and n_steps = 1 + Rng.int rng 8 in
+    let sigma = if case mod 4 = 0 then 150.0 else 0.6 in
+    let grad_start rows cols =
+      T.of_array ~rows ~cols
+        (Array.init (rows * cols) (fun _ ->
+             if Rng.bool rng then 0.0 else Rng.float_range rng (-1.0) 1.0))
+    in
+    let cells =
+      Array.init layers (fun l ->
+          let w rows cols = (T.randn rng ~rows ~cols ~sigma, grad_start rows cols) in
+          ( w (4 * hd) (if l = 0 then input else hd),
+            w (4 * hd) hd,
+            w 1 (4 * hd) ))
+    in
+    let xs = Array.init n_steps (fun _ -> T.randn rng ~rows:1 ~cols:input ~sigma:1.0) in
+    let reuse = Array.init n_steps (fun t -> t > 0 && Rng.int rng 4 = 0) in
+    let seed =
+      T.of_array ~rows:1 ~cols:hd
+        (Array.init hd (fun _ ->
+             if Rng.int rng 4 = 0 then 0.0 else Rng.float_range rng (-1.0) 1.0))
+    in
+    let run build =
+      let leaves =
+        Array.map
+          (fun (wx, wh, b) ->
+            let leaf (v, g) = Ad.leaf ~value:v ~grad:(T.copy g) in
+            (leaf wx, leaf wh, leaf b))
+          cells
+      in
+      let ctx = Ad.new_ctx () in
+      let inputs = Array.make n_steps (Ad.constant ctx xs.(0)) in
+      for t = 1 to n_steps - 1 do
+        inputs.(t) <-
+          (if reuse.(t) then inputs.(t - 1) else Ad.constant ctx xs.(t))
+      done;
+      let h = build ctx leaves (Array.to_list inputs) in
+      let loss = Ad.sum_all ctx (Ad.mul ctx h (Ad.constant ctx seed)) in
+      Ad.backward ctx loss;
+      ( T.to_array (Ad.value h),
+        Ad.scalar_value loss,
+        Array.concat
+          (List.concat_map
+             (fun (wx, wh, b) -> List.map (fun n -> T.to_array (Ad.grad n)) [ wx; wh; b ])
+             (Array.to_list leaves)),
+        Array.concat (Array.to_list (Array.map (fun x -> T.to_array (Ad.grad x)) inputs)) )
+    in
+    let fh, floss, fw, fx =
+      run (fun ctx leaves inputs ->
+          Ad.lstm_batch ctx ~cells:leaves ~batch:1
+            (List.map (fun x -> (x, None)) inputs))
+    in
+    let rh, rloss, rw, rx =
+      run (fun ctx leaves inputs -> sequence_lstm ctx leaves ~hd inputs)
+    in
+    let label =
+      Printf.sprintf "case %d (%d layers, hidden %d, input %d, %d steps)" case
+        layers hd input n_steps
+    in
+    let same what a b =
+      Array.iteri
+        (fun k v -> check_bits (Printf.sprintf "%s: %s[%d]" label what k) v a.(k))
+        b
+    in
+    same "output" rh fh;
+    check_bits (label ^ ": loss") rloss floss;
+    same "weight grads" rw fw;
+    same "input grads" rx fx
+  done
+
 (* ---- batched surrogate vs per-sequence oracle ---- *)
 
 let small_cfg =
@@ -571,6 +696,27 @@ let test_train_batch_grads () =
         g1)
     seq_grads batch_grads;
   Nn.Store.zero_grads store
+
+(* The same minibatch three times through [train_batch] and
+   [predict_batch_value]: the same bits every time. *)
+let test_batched_calls_repeat cfg () =
+  let model = Model.create ~config:cfg (Rng.create 131) in
+  let rng = Rng.create 17 in
+  let samples = mk_samples rng cfg 6 in
+  let targets = Array.map (fun _ -> 1.0 +. Rng.float rng 50.0) samples in
+  let ctx = Ad.new_ctx () in
+  let runs =
+    List.init 3 (fun _ ->
+        Nn.Store.zero_grads (Model.store model);
+        ( Model.train_batch model ctx samples ~targets,
+          Model.predict_batch_value model samples ))
+  in
+  let l0, p0 = List.hd runs in
+  List.iteri
+    (fun k (l, p) ->
+      Array.iteri (fun i v -> check_bits (Printf.sprintf "run %d loss %d" k i) v l.(i)) l0;
+      Array.iteri (fun i v -> check_bits (Printf.sprintf "run %d pred %d" k i) v p.(i)) p0)
+    runs
 
 (* ---- sanitizer coverage for the matmul-class ops ---- *)
 
@@ -789,6 +935,8 @@ let () =
             test_lstm_batch_equals_sequential;
           Alcotest.test_case "fused = per-step composition bitwise" `Quick
             test_lstm_fused_equals_reference;
+          Alcotest.test_case "lstm_batch at batch 1 = per-sequence composition bitwise"
+            `Quick test_lstm_batch1_equals_sequence;
         ] );
       ( "model",
         [
@@ -802,6 +950,10 @@ let () =
             (test_forward_batch_bits ithemal_physics_cfg "ithemal physics");
           Alcotest.test_case "train_batch grads = sequential" `Quick
             test_train_batch_grads;
+          Alcotest.test_case "batched calls repeat bitwise (plain)" `Quick
+            (test_batched_calls_repeat small_cfg);
+          Alcotest.test_case "batched calls repeat bitwise (physics)" `Quick
+            (test_batched_calls_repeat physics_cfg);
         ] );
       ( "engine",
         [

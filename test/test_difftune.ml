@@ -218,7 +218,7 @@ let test_learn_end_to_end_smoke () =
   Alcotest.(check bool) "descent moves the table" true
     (res.table <> unmoved spec);
   (* The learned table's bits.  Descent here moves 870 of 3,737
-     entries, so unlike test_plan's 24-block pin it sees a change in
+     entries, so unlike the 24-block descent pin it sees a change in
      what descent feeds the surrogate, such as instruction i given
      instruction i+1's token vectors.  After a deliberate numeric
      change, re-record the digest from this check's failure. *)
@@ -326,12 +326,70 @@ let test_domain_determinism () =
     true
     (Float.equal l1 l3)
 
+(* Table descent on the write-latency spec, 24 blocks: the learned
+   table's bits are pinned, and equal at 1, 2 and 4 domains.  The
+   learning rate is high enough for every step to move entries across
+   rounding boundaries, so a changed gradient shows in the extracted
+   table.  After a deliberate numeric change, re-record the digest from
+   this check's failure. *)
+let test_table_descent_domains () =
+  let train =
+    let c = Dt_bhive.Dataset.corpus ~seed:7 ~size:24 in
+    let ds = Dt_bhive.Dataset.label c ~seed:3 ~uarch:Uarch.Haswell ~noise:0.0 in
+    Array.map
+      (fun (l : Dt_bhive.Dataset.labeled) -> (l.entry.block, l.timing))
+      (Dt_bhive.Dataset.all ds)
+  in
+  let blocks = Array.map fst train in
+  let wl_spec = Spec.mca_write_latency Uarch.Haswell in
+  let cfg =
+    {
+      Engine.fast_config with
+      seed = 3;
+      sim_multiplier = 2;
+      surrogate_passes = 0.25;
+      table_passes = 4.0;
+      table_lr = 1.0;
+    }
+  in
+  let run ?(cfg = cfg) domains =
+    with_domains domains (fun () ->
+        let data = Engine.collect cfg wl_spec blocks in
+        let model = Engine.make_model cfg wl_spec (Rng.create 5) in
+        ignore (Engine.train_surrogate cfg wl_spec model data blocks);
+        Engine.optimize_table cfg wl_spec model ~train)
+  in
+  let table = run 1 in
+  Alcotest.(check string) "learned table digest"
+    "6fcd96a3be60f8495b4bc064c4ce8f98" (bits_digest table);
+  Alcotest.(check bool) "descent moved the table" true
+    (table <> run ~cfg:{ cfg with table_passes = 0.0 } 1);
+  let bits (t : Spec.table) =
+    Array.map Int64.bits_of_float (Array.concat (t.global :: Array.to_list t.per))
+  in
+  List.iter
+    (fun d ->
+      Alcotest.(check (array int64))
+        (Printf.sprintf "domains=%d bitwise" d)
+        (bits table) (bits (run d)))
+    [ 2; 4 ]
+
 let test_ithemal_smoke () =
   let reference = Spec.mca_table_of_params (Dt_mca.Params.default Uarch.Haswell) in
   let features = Some (Engine.spec_features spec ~reference) in
   let model =
     Engine.train_ithemal tiny_cfg ~features ~train:(Array.to_list tiny_train)
   in
+  (* The fitted weights' bits, in store order.  After a deliberate
+     numeric change, re-record the digest from this check's failure. *)
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (_, _, _, data) ->
+      Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) data)
+    (Dt_nn.Nn.Store.export_values (Dt_surrogate.Model.store model));
+  Alcotest.(check string) "fitted weights digest"
+    "6d622fca97beb328da66e084c2ea64e4"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
   let p = Engine.ithemal_predict ~features model (fst tiny_train.(0)) in
   Alcotest.(check bool) "finite positive" true (Float.is_finite p && p > 0.0)
 
@@ -362,6 +420,8 @@ let () =
           Alcotest.test_case "collect" `Quick test_collect;
           Alcotest.test_case "domain determinism" `Quick
             test_domain_determinism;
+          Alcotest.test_case "table descent pinned at 1/2/4 domains" `Quick
+            test_table_descent_domains;
           Alcotest.test_case "learn smoke" `Slow test_learn_end_to_end_smoke;
           Alcotest.test_case "validation gating" `Slow
             test_learn_with_validation_gating;

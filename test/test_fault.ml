@@ -403,7 +403,7 @@ let tiny_train =
 
 let wl_spec = Spec.mca_write_latency Uarch.Haswell
 
-(* [table_lr = 1.0] (as in test_plan's compiled-descent pin): at the
+(* [table_lr = 1.0] (as in test_difftune's descent pins): at the
    fast config's 0.05 the descent never moves a rounded entry, and every
    table comparison below would compare two copies of the initial draw.
    [test_resume_bit_identical] guards that. *)

@@ -171,8 +171,7 @@ let test_gradients_reach_embeddings () =
    Table descent computes a block's token stage once and feeds its
    vectors back as constants on every step.  That is only sound if the
    instruction stage on those constants gives [predict]'s value and its
-   gradients into the parameter and feature nodes, bit for bit, both
-   interpreted and on a compiled replay. *)
+   gradients into the parameter and feature nodes, bit for bit. *)
 
 let bits = Int64.bits_of_float
 
@@ -201,42 +200,28 @@ let split_cases (cfg : Model.config) rng n =
            else Some (vec cfg.feature_width 0.5 4.0));
       })
 
-(* One forward + backward of [c]'s MAPE loss on [ctx], under a plan key
-   when [plans] is given: [predict] when [token_h] is [None], else the
-   instruction stage on [token_h] fed as constants.  Returns the
-   prediction and the gradients of every per-instruction parameter
-   node, the global node and the feature node. *)
-let split_run model ?plans ctx c ~token_h =
-  let inputs = ref None and prediction = ref None in
-  let trace ctx =
-    let const v = Ad.constant ctx (T.vector v) in
-    let per = Array.map const c.cper in
-    let global = const c.cglob in
-    let features = Option.map const c.cfeat in
-    inputs := Some (per, global, features);
-    let params = Some { Model.per_instr = per; global = Some global } in
-    let pred =
-      match token_h with
-      | None -> Model.predict model ctx c.cblock ~params ~features
-      | Some h ->
-          Model.instr_stage model ctx
-            (Array.map (Ad.constant ctx) h)
-            ~params ~features
-    in
-    prediction := Some pred;
-    Ad.mape ctx pred ~target:3.0
+(* One forward + backward of [c]'s MAPE loss on [ctx]: [predict] when
+   [token_h] is [None], else the instruction stage on [token_h] fed as
+   constants.  Returns the prediction and the gradients of every
+   per-instruction parameter node, the global node and the feature
+   node. *)
+let split_run model ctx c ~token_h =
+  Ad.reset ctx;
+  let const v = Ad.constant ctx (T.vector v) in
+  let per = Array.map const c.cper in
+  let global = const c.cglob in
+  let features = Option.map const c.cfeat in
+  let params = Some { Model.per_instr = per; global = Some global } in
+  let pred =
+    match token_h with
+    | None -> Model.predict model ctx c.cblock ~params ~features
+    | Some h ->
+        Model.instr_stage model ctx (Array.map (Ad.constant ctx) h) ~params
+          ~features
   in
-  let loss =
-    match plans with
-    | None ->
-        Ad.reset ctx;
-        trace ctx
-    | Some (cache, key) -> Ad.with_plan cache ctx ~key trace
-  in
-  Ad.backward ctx loss;
-  let per, global, features = Option.get !inputs in
+  Ad.backward ctx (Ad.mape ctx pred ~target:3.0);
   let grad n = T.to_array (Ad.grad n) in
-  ( Ad.scalar_value (Option.get !prediction),
+  ( Ad.scalar_value pred,
     Array.map grad per,
     grad global,
     Option.map grad features )
@@ -280,23 +265,8 @@ let test_stages_bitwise cfg () =
         (Array.length c.cblock.instrs) (Array.length token_h);
       let ctx = Ad.new_ctx () in
       let oracle = split_run model ctx c ~token_h:None in
-      check (Printf.sprintf "block %d interpreted" k) oracle
-        (split_run model ctx c ~token_h:(Some token_h));
-      (* The third call under one key replays the plan the first two
-         recorded. *)
-      let replay ~token_h =
-        let plans = (Ad.plan_cache (), "k") in
-        ignore (split_run model ~plans ctx c ~token_h);
-        ignore (split_run model ~plans ctx c ~token_h);
-        split_run model ~plans ctx c ~token_h
-      in
-      let s0 = Ad.plan_stats () in
-      check (Printf.sprintf "block %d replayed predict" k) oracle
-        (replay ~token_h:None);
-      check (Printf.sprintf "block %d replayed stages" k) oracle
-        (replay ~token_h:(Some token_h));
-      Alcotest.(check int) "both third calls replayed" 2
-        ((Ad.plan_stats ()).plan_hits - s0.plan_hits))
+      check (Printf.sprintf "block %d stages" k) oracle
+        (split_run model ctx c ~token_h:(Some token_h)))
     cases
 
 let () =
