@@ -46,8 +46,10 @@ fleet-smoke: build
 loadtest: build
 	dune exec bench/loadtest.exe -- _build/default/bin/difftune_cli.exe
 
-# Full verification: build, repo lint, the regular test suite, then the
-# fault smoke matrix — every injection site crossed with serial and
+# Full verification: build, repo lint, the regular test suite (which
+# already runs every suite and smoke once in the default environment),
+# then only the cells that change a DIFFTUNE_* variable: the fault
+# smoke matrix — every injection site crossed with serial and
 # parallel pools.  Each cell kills/corrupts a checkpointed training run
 # and requires it to converge (bit-identically, unless the fault was
 # numeric).  One extra cell re-runs the combined fault spec with the
@@ -69,21 +71,20 @@ verify: build
 	@echo "== faults=engine.abort@2;grad.nan@3 domains=4 sanitize=1 =="
 	DIFFTUNE_SANITIZE=1 DIFFTUNE_FAULTS="engine.abort@2;grad.nan@3" \
 	  DIFFTUNE_DOMAINS=4 dune exec test/fault_smoke.exe || exit 1
-	@# Sampling cells: the complexity-guided collection suite
+	@# Sampling cell: the complexity-guided collection suite
 	@# (stratifier determinism, allocation floors, pilot kill/resume,
-	@# guided-vs-uniform fidelity), plus one cell with the dynamic race
-	@# sanitizer armed (guided collect runs pilot fits and simcache
-	@# traffic across domains).
-	@echo "== sampler =="
-	dune exec test/test_sampler.exe || exit 1
+	@# guided-vs-uniform fidelity) with the dynamic race sanitizer
+	@# armed (guided collect runs pilot fits and simcache traffic
+	@# across domains).
 	@echo "== sampler racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 dune exec test/test_sampler.exe || exit 1
 	@# Confinement cell: the race sanitizer checks each surrogate
 	@# model's owner token around its batched calls while the engine
-	@# suite trains, fits and descends (the table descent at 1, 2 and 4
-	@# domains).  Descent computes each block's token vectors on the
-	@# pool's lanes before its first step, then runs each lane's shards
-	@# on that lane's own context; this cell must stay quiet with that
+	@# suite trains, fits and descends (the table descent and the
+	@# Ithemal fit at 1, 2 and 4 domains).  Every phase keeps one model
+	@# clone and context per pool lane and runs each lane's shards on
+	@# them, and descent computes each block's token vectors on the
+	@# lanes before its first step; this cell must stay quiet with that
 	@# work spread over them.  The same suite pins the learned tables'
 	@# bits (test_table_descent_domains, test_learn_end_to_end_smoke)
 	@# and the Ithemal fit's (test_ithemal_smoke): a learn-loop change
@@ -96,22 +97,12 @@ verify: build
 	@# proves they are MISSED with checking off).
 	@echo "== racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 dune exec test/test_race.exe || exit 1
-	@# Surrogate-lifecycle cell: the unit suite (drift windows, registry
-	@# corruption, canary rollback, reservoir determinism) and the serving
-	@# smoke (whose lifecycle scenarios arm lifecycle.drift_storm /
-	@# retrain_crash / corrupt_model).
-	@echo "== lifecycle =="
-	dune exec test/test_lifecycle.exe || exit 1
-	dune exec test/serve_smoke.exe -- _build/default/bin/difftune_cli.exe \
-	  || exit 1
-	@# Sharded-fleet cell: the cluster unit suite and the end-to-end
-	@# fleet smoke (shard crash / net partition / slow shard armed via
-	@# fleet-spec shard_faults), plus one cell with the race sanitizer
-	@# armed inside every shard daemon.
-	@echo "== fleet =="
-	dune exec test/test_cluster.exe || exit 1
-	dune exec test/fleet_smoke.exe -- _build/default/bin/difftune_cli.exe \
-	  || exit 1
+	@# Sharded-fleet cell: the end-to-end fleet smoke (shard crash / net
+	@# partition / slow shard armed via fleet-spec shard_faults) with
+	@# the race sanitizer armed inside every shard daemon.  The
+	@# lifecycle suite, the serving smoke (whose lifecycle retrains run
+	@# on a pool of their own), the cluster suite and the plain fleet
+	@# smoke run once, in dune runtest above.
 	@echo "== fleet racecheck=1 =="
 	DIFFTUNE_RACECHECK=1 \
 	  dune exec test/fleet_smoke.exe -- _build/default/bin/difftune_cli.exe \

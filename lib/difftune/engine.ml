@@ -88,10 +88,10 @@ type sim_sample = {
 }
 
 (* Work within a minibatch is split into a {e fixed} number of shards,
-   independent of how many domains execute them: each shard accumulates
-   its gradients sequentially into its own replica, and the per-shard
-   sums are reduced in shard-index order.  Floating-point results are
-   therefore bit-identical whatever DIFFTUNE_DOMAINS says. *)
+   independent of how many domains execute them: each shard sums its
+   gradients sequentially into its own slot, and the per-shard sums are
+   reduced in shard-index order ([sharded]).  Floating-point results
+   are therefore bit-identical whatever DIFFTUNE_DOMAINS says. *)
 let n_shards = 16
 
 let with_pool f =
@@ -347,66 +347,51 @@ let spec_model_config config (spec : Spec.t) =
 let make_model config spec rng =
   Model.create ~config:(spec_model_config config spec) rng
 
-(* A structural copy of [model] with the same parameter values; its store
-   can be reduced back into the original's via [Store.accum_grads]. *)
-let replicate model =
-  let m = Model.create ~config:(Model.config model) (Rng.create 0) in
-  Nn.Store.copy_values ~src:(Model.store model) ~dst:(Model.store m);
-  m
+(* ---- the batched shard body ----
 
-(* ---- batched surrogate training helpers ----
+   A shard trains on length-bucketed minibatches: [sample ctx i] is
+   population element [i] as a batch sample with its positive target,
+   the shard's schedule slice is grouped by [Model.bucket_len] of the
+   block length (the bucketing the model uses for sequence packing),
+   and every bucket becomes one [Model.train_batch] call.  Bucketing is
+   by sorted unique key with first-appearance order inside a bucket, so
+   the grouping depends only on the schedule — never on domain count or
+   hash-table iteration order. *)
 
-   Each shard trains on length-bucketed minibatches: its schedule slice
-   is grouped by [Model.bucket_len] of the block length (the bucketing
-   the model uses for sequence packing) and every bucket becomes one
-   [Model.train_batch] call.  Bucketing is by sorted unique key with
-   first-appearance order inside a bucket, so the grouping depends only
-   on the schedule — never on domain count or hash-table iteration
-   order. *)
+let train_shard_batched model ctx ~sample sched losses ~lo ~hi =
+  let steps =
+    List.init (hi - lo) (fun i -> (lo + i, sample ctx sched.(lo + i)))
+  in
+  let key (_, ((s : Model.batch_sample), _)) =
+    Model.bucket_len (Dt_x86.Block.length s.bblock)
+  in
+  List.iter
+    (fun k ->
+      let bucket = Array.of_list (List.filter (fun e -> key e = k) steps) in
+      let ls =
+        Model.train_batch model ctx
+          (Array.map (fun (_, (s, _)) -> s) bucket)
+          ~targets:(Array.map (fun (_, (_, y)) -> y) bucket)
+      in
+      Array.iteri (fun i (step, _) -> losses.(step) <- ls.(i)) bucket)
+    (List.sort_uniq compare (List.map key steps))
 
-let train_shard_batched model ctx (spec : Spec.t) blocks
-    (data : sim_sample array) sched losses ~lo ~hi =
-  if hi > lo then begin
-    let with_features = (Model.config model).feature_width > 0 in
-    let steps = Array.init (hi - lo) (fun i -> lo + i) in
-    let key step =
-      let s = data.(sched.(step)) in
-      Model.bucket_len (Dt_x86.Block.length blocks.(s.block_idx))
-    in
-    let keys = List.sort_uniq compare (Array.to_list (Array.map key steps)) in
-    List.iter
-      (fun k ->
-        let bucket =
-          Array.of_list
-            (List.filter (fun step -> key step = k) (Array.to_list steps))
-        in
-        let samples =
-          Array.map
-            (fun step ->
-              let s = data.(sched.(step)) in
-              let block = blocks.(s.block_idx) in
-              {
-                Model.bblock = block;
-                bparams = Some (s.per, s.global);
-                bfeatures =
-                  (* On the shard's context: [Model.train_batch] resets it
-                     again before building its own graph. *)
-                  (if with_features then
-                     Spec.bound_values spec ctx block ~per:s.per
-                       ~global:s.global
-                   else None);
-              })
-            bucket
-        in
-        let targets =
-          Array.map
-            (fun step -> Float.max data.(sched.(step)).target 1e-3)
-            bucket
-        in
-        let ls = Model.train_batch model ctx samples ~targets in
-        Array.iteri (fun i step -> losses.(step) <- ls.(i)) bucket)
-      keys
-  end
+(* Simulated sample [i] for the surrogate: its analytic bounds, when
+   the model reads them, are evaluated on the shard's context, which
+   [Model.train_batch] resets again before building its own graph. *)
+let sim_batch_sample (spec : Spec.t) blocks (data : sim_sample array)
+    ~with_features ctx i =
+  let s = data.(i) in
+  let block = blocks.(s.block_idx) in
+  ( {
+      Model.bblock = block;
+      bparams = Some (s.per, s.global);
+      bfeatures =
+        (if with_features then
+           Spec.bound_values spec ctx block ~per:s.per ~global:s.global
+         else None);
+    },
+    Float.max s.target 1e-3 )
 
 (* ---- complexity-guided collection (DESIGN.md §6j) ----
 
@@ -461,8 +446,11 @@ let pilot_fit config (spec : Spec.t) blocks (samples : sim_sample array) =
     let losses = Array.make m 0.0 in
     let first = ref 0.0 and last = ref 0.0 in
     for epoch = 0 to pilot_epochs - 1 do
-      train_shard_batched model ctx spec blocks samples sched losses ~lo:0
-        ~hi:m;
+      train_shard_batched model ctx
+        ~sample:
+          (sim_batch_sample spec blocks samples
+             ~with_features:((Model.config model).feature_width > 0))
+        sched losses ~lo:0 ~hi:m;
       Nn.Store.clip_grads store ~max_norm:(config.grad_clip *. float_of_int m);
       Nn.Optimizer.step opt ~batch:m;
       let mean = Array.fold_left ( +. ) 0.0 losses /. float_of_int m in
@@ -684,6 +672,59 @@ let make_schedule rng ~n ~steps =
 let shard_range ~lo ~size k =
   (lo + (k * size / n_shards), lo + ((k + 1) * size / n_shards))
 
+(* A gradient-only twin of [store]: the same parameter names and shapes
+   in the same order, all zero, so it pairs with [store] under
+   [Nn.Store.copy_grads] and [Nn.Store.accum_grads].  Its values are
+   never read; building it builds no model and draws no random number. *)
+let grad_slot store =
+  let shapes = ref [] in
+  Nn.Store.iter store (fun name ~value ~grad:_ ->
+      shapes := (name, value.T.rows, value.T.cols) :: !shapes);
+  let slot = Nn.Store.create () in
+  List.iter
+    (fun (name, rows, cols) ->
+      ignore (Nn.Store.param slot ~name (T.zeros ~rows ~cols)))
+    !shapes;
+  slot
+
+(* ---- the fixed-shard minibatch step (DESIGN.md §6b) ----
+
+   [run_phase]'s [prepare] for every phase.  A minibatch splits into the
+   same [n_shards] shards whatever the pool size.  Each pool lane keeps
+   one workspace [w] built by [lane ()] and one autodiff context; tasks
+   on one lane never overlap, so neither has two users at once.  Before
+   every minibatch, each lane's replica of the trained store,
+   [lane_store w], is refreshed from [store].  Shard k sums its
+   gradients from +0.0 on whichever lane runs it ([shard w ctx]), then
+   copies them into slot k, and the slots are added into [store] in
+   shard order: every float is the same at any pool size.  [warm pool
+   lanes] runs once, before the first minibatch. *)
+let sharded ~store ~lane ~lane_store ?(warm = fun _ _ -> ()) shard pool
+    ~sched ~losses =
+  let lanes = Array.init (Pool.size pool) (fun _ -> (lane (), Ad.new_ctx ())) in
+  let slots = Array.init n_shards (fun _ -> grad_slot store) in
+  warm pool lanes;
+  fun ~b0 ~bsize ->
+    Array.iter
+      (fun (w, _) -> Nn.Store.copy_values ~src:store ~dst:(lane_store w))
+      lanes;
+    Pool.run_lanes pool n_shards (fun ~lane k ->
+        let w, ctx = lanes.(lane) in
+        let lo, hi = shard_range ~lo:b0 ~size:bsize k in
+        Nn.Store.zero_grads (lane_store w);
+        shard w ctx ~sched ~losses ~lo ~hi;
+        Nn.Store.copy_grads ~src:(lane_store w) ~dst:slots.(k));
+    Array.iter (fun slot -> Nn.Store.accum_grads ~src:slot ~dst:store) slots
+
+(* [sharded] for a phase that trains [model] itself: a lane's workspace
+   is a clone of it, and a shard's body is [train_shard_batched]. *)
+let model_shards model ~sample =
+  sharded ~store:(Model.store model)
+    ~lane:(fun () -> Model.clone model)
+    ~lane_store:Model.store
+    (fun r ctx ~sched ~losses ~lo ~hi ->
+      train_shard_batched r ctx ~sample sched losses ~lo ~hi)
+
 (* A phase checkpoint holds either a mid-phase snapshot (tag 0) or the
    completed phase's payload (tag 1). *)
 let dec_phase_state ~name dec_done d =
@@ -694,23 +735,24 @@ let dec_phase_state ~name dec_done d =
 
 (* ---- one learning phase (DESIGN.md §6b) ----
 
-   Surrogate training (Equation 2) and table descent (Equation 3) are
-   the same minibatch Adam loop over different parameters, and both
-   survive faults the same way; [run_phase] is that loop.  It resumes
-   from the phase checkpoint [name] (or returns the completed phase's
-   payload outright), runs [steps] scheduled steps over a population
-   of [n] in minibatches of [batch], keeps two good snapshots, rolls a
-   bad minibatch back with a learning-rate backoff, writes a
-   checkpoint every [steps / checkpoint_segments] steps, and finally
-   records the payload [finish] builds from the mean training loss.
+   Surrogate training (Equation 2), table descent (Equation 3) and the
+   Ithemal baseline's fit are the same minibatch Adam loop over
+   different parameters, and all three survive faults the same way;
+   [run_phase] is that loop.  It resumes from the phase checkpoint
+   [name] (or returns the completed phase's payload outright), runs
+   [steps] scheduled steps over a population of [n] in minibatches of
+   [batch], keeps two good snapshots, rolls a bad minibatch back with a
+   learning-rate backoff, writes a checkpoint every
+   [steps / checkpoint_segments] steps, and finally records the payload
+   [finish] builds from the mean training loss.
 
-   The caller passes what differs: [prepare] builds, on the pool, the
-   function that fills [losses] for one minibatch and accumulates its
-   gradients into [store]; [clip] bounds the gradient norm per sample;
-   [drop_lr_at] cuts the rate to 0.3x once a batch passes that step;
-   [after_step] runs after each optimizer step; [best] is the
-   validation pick the snapshots carry; [restored] installs a
-   completed payload read back from disk. *)
+   The caller passes what differs: [prepare] ([sharded], for every
+   phase) builds, on the pool, the function that fills [losses] for
+   one minibatch and accumulates its gradients into [store]; [clip]
+   bounds the gradient norm per sample; [drop_lr_at] cuts the rate to
+   0.3x once a batch passes that step; [after_step] runs after each
+   optimizer step; [best] is the validation pick the snapshots carry;
+   [restored] installs a completed payload read back from disk. *)
 let run_phase ?checkpoint_dir ?(health = Fault.create_health ()) ~log ~name
     ~fault_phase ~fp ~rng ~n ~steps ~batch ~store ~lr ?clip ?drop_lr_at
     ?(after_step = fun ~b0:_ ~bsize:_ -> ()) ?(best = ref None)
@@ -885,26 +927,9 @@ let train_surrogate ?checkpoint_dir ?health config spec model
   let store = Model.store model in
   let n = Array.length data in
   let steps = int_of_float (config.surrogate_passes *. float_of_int n) in
-  (* Each shard trains on its own replica, refreshed from [store] at the
-     start of every minibatch; the replicas' sums are reduced into
-     [store] in shard order. *)
-  let prepare pool ~sched ~losses =
-    let replicas = Array.init n_shards (fun _ -> replicate model) in
-    let ctxs = Array.init n_shards (fun _ -> Ad.new_ctx ()) in
-    fun ~b0 ~bsize ->
-      Array.iter
-        (fun m -> Nn.Store.copy_values ~src:store ~dst:(Model.store m))
-        replicas;
-      Pool.run pool n_shards (fun k ->
-          let lo, hi = shard_range ~lo:b0 ~size:bsize k in
-          train_shard_batched replicas.(k) ctxs.(k) spec blocks data sched
-            losses ~lo ~hi);
-      Array.iter
-        (fun m ->
-          let rs = Model.store m in
-          Nn.Store.accum_grads ~src:rs ~dst:store;
-          Nn.Store.zero_grads rs)
-        replicas
+  let sample =
+    sim_batch_sample spec blocks data
+      ~with_features:((Model.config model).feature_width > 0)
   in
   snd
     (run_phase ?checkpoint_dir ?health ~log:config.log ~name:"surrogate"
@@ -914,7 +939,7 @@ let train_surrogate ?checkpoint_dir ?health config spec model
        ~n ~steps ~batch:config.batch ~store ~lr:config.surrogate_lr
        ~clip:config.grad_clip ~drop_lr_at:(2 * steps / 3)
        ~restored:(fun (weights, _) -> Nn.Store.import_values store weights)
-       ~prepare
+       ~prepare:(model_shards model ~sample)
        ~finish:(fun ~loss -> (Nn.Store.export_values store, loss))
        ~enc_done:enc_surrogate_done ~dec_done:dec_surrogate_done ())
 
@@ -942,17 +967,15 @@ let validation_error (spec : Spec.t) table valid =
     valid;
   !acc /. float_of_int (Array.length valid)
 
-(* Per-lane state for the parameter-descent phase: a relaxed table
-   (leaves + store) for the lane's traces to read, a frozen-surrogate
-   replica, and the context those traces run in.  Tasks on one pool
-   lane never overlap, so a lane's context, like any context, has one
-   caller at a time. *)
+(* A pool lane's workspace in the parameter-descent phase: a relaxed
+   table (leaves + store) for the lane's traces to read, and a clone of
+   the frozen surrogate.  The clone gives backward a private place to
+   write the surrogate's weight gradients, which are never read. *)
 type theta_replica = {
   tstore : Nn.Store.t;
   pnode : Ad.node;
   gnode : Ad.node;
   smodel : Model.t;
-  tctx : Ad.ctx;
 }
 
 let table_fp config (spec : Spec.t) ~n ~init ~n_valid =
@@ -1046,106 +1069,80 @@ let optimize_table ?init ?(valid = [||]) ?checkpoint_dir ?health config
     done;
     if (b0 + bsize) / snapshot_every > b0 / snapshot_every then consider ()
   in
-  let prepare pool ~sched ~losses =
-    (* A shard sums its steps' theta gradients from zero on its lane's
-       replica and leaves the sum in its own slot, so the reduction
-       below runs in shard-index order whichever lane ran the shard:
-       every float is the same at any pool size. *)
-    let slots =
-      Array.init n_shards (fun _ ->
-          let slot, _, _, _, _ = make_theta () in
-          slot)
-    in
-    let lanes =
-      Array.init (Pool.size pool) (fun _ ->
-          let tstore, _, _, pnode, gnode = make_theta () in
-          {
-            tstore;
-            pnode;
-            gnode;
-            smodel = replicate model;
-            tctx = Ad.new_ctx ();
-          })
-    in
-    (* The frozen surrogate's token stage, once per eligible block:
-       [token_h.(i)] holds block i's per-instruction token vectors.
-       Each block's vectors depend only on the block and the frozen
-       weights, so any split over the lanes gives the same bits. *)
-    let token_h = Array.make n [||] in
+  (* The frozen surrogate's token stage, once per eligible block, before
+     the first step: [token_h.(i)] holds block i's per-instruction token
+     vectors.  Each block's vectors depend only on the block and the
+     frozen weights, so any split over the lanes gives the same bits. *)
+  let token_h = Array.make n [||] in
+  let warm pool lanes =
     Pool.run_lanes pool n_shards (fun ~lane k ->
-        let r = lanes.(lane) in
+        let r, ctx = lanes.(lane) in
         let lo, hi = shard_range ~lo:0 ~size:n k in
         for bi = lo to hi - 1 do
-          Ad.reset r.tctx;
+          Ad.reset ctx;
           token_h.(bi) <-
             Array.map
               (fun h -> T.copy (Ad.value h))
-              (Model.token_stage r.smodel r.tctx (fst eligible.(bi)))
-        done);
-    let shard_task r slot lo hi =
-      let ctx = r.tctx in
-      Nn.Store.zero_grads r.tstore;
-      for step = lo to hi - 1 do
-        let bi = sched.(step) in
-        let block, y = eligible.(bi) in
-        Ad.reset ctx;
-        let loss =
-          let scale_node v = Ad.constant ctx v in
-          let per_inputs =
-            Array.map
-              (fun (instr : Dt_x86.Instruction.t) ->
-                let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
-                let row = Ad.abs_ ctx row in
-                let row =
-                  if spec.per_width = T.size (Ad.value row) then row
-                  else Ad.slice ctx row ~pos:0 ~len:spec.per_width
-                in
-                Ad.mul ctx row (scale_node per_scale))
-              block.instrs
-          in
-          let global_input =
-            if spec.global_width = 0 then None
-            else
-              let gview = Ad.row ctx ~m:r.gnode 0 in
-              let g = Ad.abs_ ctx gview in
-              Some (Ad.mul ctx g (scale_node global_scale))
-          in
-          let params =
-            { Model.per_instr = per_inputs; global = global_input }
-          in
-          let features =
-            if (Model.config r.smodel).feature_width = 0 then None
-            else
-              match spec.bounds with
-              | Some f ->
-                  Some (f ctx block ~per:per_inputs ~global:global_input)
-              | None -> None
-          in
-          let pred =
-            Model.instr_stage r.smodel ctx
-              (Array.map (Ad.constant ctx) token_h.(bi))
-              ~params:(Some params) ~features
-          in
-          Ad.mape ctx pred ~target:(Float.max y 1e-3)
+              (Model.token_stage r.smodel ctx (fst eligible.(bi)))
+        done)
+  in
+  (* A shard's steps: each traces the lane's θ rows through the frozen
+     instruction stage on the block's precomputed token vectors. *)
+  let shard r ctx ~sched ~losses ~lo ~hi =
+    for step = lo to hi - 1 do
+      let bi = sched.(step) in
+      let block, y = eligible.(bi) in
+      Ad.reset ctx;
+      let loss =
+        let scale_node v = Ad.constant ctx v in
+        let per_inputs =
+          Array.map
+            (fun (instr : Dt_x86.Instruction.t) ->
+              let row = Ad.row ctx ~m:r.pnode instr.opcode.index in
+              let row = Ad.abs_ ctx row in
+              let row =
+                if spec.per_width = T.size (Ad.value row) then row
+                else Ad.slice ctx row ~pos:0 ~len:spec.per_width
+              in
+              Ad.mul ctx row (scale_node per_scale))
+            block.instrs
         in
-        Ad.backward ctx loss;
-        losses.(step) <- Ad.scalar_value loss
-      done;
-      Nn.Store.copy_grads ~src:r.tstore ~dst:slot
-    in
-    fun ~b0 ~bsize ->
-      Array.iter
-        (fun r -> Nn.Store.copy_values ~src:theta_store ~dst:r.tstore)
-        lanes;
-      Pool.run_lanes pool n_shards (fun ~lane k ->
-          let lo, hi = shard_range ~lo:b0 ~size:bsize k in
-          shard_task lanes.(lane) slots.(k) lo hi);
-      Array.iter
-        (fun slot -> Nn.Store.accum_grads ~src:slot ~dst:theta_store)
-        slots;
-      (* The surrogate is frozen: the gradients its instruction stage
-         accumulated are simply discarded. *)
-      Array.iter (fun r -> Nn.Store.zero_grads (Model.store r.smodel)) lanes
+        let global_input =
+          if spec.global_width = 0 then None
+          else
+            let gview = Ad.row ctx ~m:r.gnode 0 in
+            let g = Ad.abs_ ctx gview in
+            Some (Ad.mul ctx g (scale_node global_scale))
+        in
+        let params =
+          { Model.per_instr = per_inputs; global = global_input }
+        in
+        let features =
+          if (Model.config r.smodel).feature_width = 0 then None
+          else
+            match spec.bounds with
+            | Some f ->
+                Some (f ctx block ~per:per_inputs ~global:global_input)
+            | None -> None
+        in
+        let pred =
+          Model.instr_stage r.smodel ctx
+            (Array.map (Ad.constant ctx) token_h.(bi))
+            ~params:(Some params) ~features
+        in
+        Ad.mape ctx pred ~target:(Float.max y 1e-3)
+      in
+      Ad.backward ctx loss;
+      losses.(step) <- Ad.scalar_value loss
+    done
+  in
+  let prepare =
+    sharded ~store:theta_store
+      ~lane:(fun () ->
+        let tstore, _, _, pnode, gnode = make_theta () in
+        { tstore; pnode; gnode; smodel = Model.clone model })
+      ~lane_store:(fun r -> r.tstore)
+      ~warm shard
   in
   (* Extraction: |theta| + lower bound, rounded; prefer the best
      validation snapshot when a validation split was provided. *)
@@ -1320,114 +1317,36 @@ let spec_features (spec : Spec.t) ~reference block =
 let make_ithemal_model config ~feature_width rng =
   Model.create ~config:(model_config config ~params:None ~feature_width) rng
 
-(* The shared Ithemal fitting loop: SGD/Adam over [eligible] on an
-   existing [model] (either freshly initialized by {!train_ithemal} or a
-   warm-started clone handed over by {!retrain_ithemal}).  Under
-   [Guided] sampling the first epoch stays uniform and records
-   per-block losses; the remaining step budget is then reallocated
-   across strata by the same [Sampler.allocate] rule as guided
-   collection, so high-loss strata get more gradient steps.  Total
-   step count is identical either way, and the loop is sequential, so
-   both modes are deterministic. *)
-let fit_ithemal config ~features rng model eligible =
-  let store = Model.store model in
-  let opt = Nn.Optimizer.adam store ~lr:config.surrogate_lr in
+(* Fit [model] to the measured [eligible] blocks: the surrogate's phase
+   loop and shard step with no parameter inputs, the static features
+   computed once per block, the surrogate's budget per sample, the
+   schedule drawn from [rng], and no checkpoint. *)
+let ithemal_phase config ~features ~rng model eligible =
   let n = Array.length eligible in
-  (* Features are static per block: precompute them once. *)
-  let feats = Hashtbl.create n in
-  (match features with
-  | None -> ()
-  | Some f ->
-      Array.iter
-        (fun (b, _) ->
-          Hashtbl.replace feats (Dt_x86.Block.to_string b) (f b))
-        eligible);
-  (* Match the surrogate's optimization budget per sample. *)
   let steps =
     int_of_float
       (config.surrogate_passes *. float_of_int (config.sim_multiplier * n))
   in
-  let in_batch = ref 0 in
-  let ctx = Ad.new_ctx () in
-  let block_loss = Array.make (max n 1) 0.0 in
-  let do_step step bi =
-    let block, y = eligible.(bi) in
-    let bstr = Dt_x86.Block.to_string block in
-    Ad.reset ctx;
-    let loss =
-      let features =
-        if (Model.config model).feature_width = 0 then None
-        else Some (Ad.constant ctx (T.vector (Hashtbl.find feats bstr)))
-      in
-      let pred = Model.predict model ctx block ~params:None ~features in
-      Ad.mape ctx pred ~target:(Float.max y 1e-3)
-    in
-    Ad.backward ctx loss;
-    block_loss.(bi) <- Ad.scalar_value loss;
-    incr in_batch;
-    if !in_batch = config.batch || step = steps - 1 then begin
-      Nn.Store.clip_grads store
-        ~max_norm:(config.grad_clip *. float_of_int !in_batch);
-      Nn.Optimizer.step opt ~batch:!in_batch;
-      in_batch := 0
-    end;
-    if step = (2 * steps) / 3 then
-      Nn.Optimizer.set_lr opt (config.surrogate_lr *. 0.3);
-    if (step + 1) mod 5000 = 0 then
-      config.log (Printf.sprintf "ithemal step %d/%d" (step + 1) steps)
+  let bfeatures =
+    let with_features = (Model.config model).feature_width > 0 in
+    Array.map
+      (fun (b, _) ->
+        match features with Some f when with_features -> Some (f b) | _ -> None)
+      eligible
   in
-  let order = Array.init n Fun.id in
-  Rng.shuffle rng order;
-  match config.sampling with
-  | Uniform ->
-      for step = 0 to steps - 1 do
-        if step > 0 && step mod n = 0 then Rng.shuffle rng order;
-        do_step step order.(step mod n)
-      done
-  | Guided scfg ->
-      let uniform_steps = min steps n in
-      for step = 0 to uniform_steps - 1 do
-        do_step step order.(step)
-      done;
-      let remaining = steps - uniform_steps in
-      if remaining > 0 then begin
-        let strata = Strata.stratify scfg (Array.map fst eligible) in
-        let k = Strata.n_strata strata in
-        let sizes = Array.map Array.length strata.Strata.members in
-        let scores =
-          Array.init k (fun h ->
-              let members = strata.Strata.members.(h) in
-              let s =
-                Array.fold_left
-                  (fun acc bi -> acc +. block_loss.(bi))
-                  0.0 members
-              in
-              let v = s /. float_of_int (max 1 (Array.length members)) in
-              if Float.is_finite v then v else 0.0)
-        in
-        let alloc =
-          Sampler.allocate ~budget:remaining ~floor_frac:alloc_floor_frac
-            ~sizes ~scores
-        in
-        config.log
-          (Printf.sprintf
-             "ithemal: guided allocation of %d remaining steps over %d strata"
-             remaining k);
-        let step = ref uniform_steps in
-        Array.iteri
-          (fun h a ->
-            if a > 0 then begin
-              let members = Array.copy strata.Strata.members.(h) in
-              Rng.shuffle rng members;
-              let m = Array.length members in
-              for j = 0 to a - 1 do
-                if j > 0 && j mod m = 0 then Rng.shuffle rng members;
-                do_step !step members.(j mod m);
-                incr step
-              done
-            end)
-          alloc
-      end
+  let sample _ctx i =
+    let block, y = eligible.(i) in
+    ( { Model.bblock = block; bparams = None; bfeatures = bfeatures.(i) },
+      Float.max y 1e-3 )
+  in
+  run_phase ~log:config.log ~name:"ithemal" ~fault_phase:Fault.Ithemal
+    ~fp:"ithemal" ~rng ~n ~steps ~batch:config.batch
+    ~store:(Model.store model) ~lr:config.surrogate_lr ~clip:config.grad_clip
+    ~drop_lr_at:(2 * steps / 3)
+    ~prepare:(model_shards model ~sample)
+    ~finish:(fun ~loss:_ -> ())
+    ~enc_done:(fun _ () -> ())
+    ~dec_done:ignore ()
 
 let train_ithemal config ~features ~train =
   let rng = Rng.create (config.seed lxor 0x17e3a1) in
@@ -1441,7 +1360,7 @@ let train_ithemal config ~features ~train =
   let eligible = eligible_labeled config train in
   if Array.length eligible = 0 then
     invalid_arg "Engine.train_ithemal: no usable training blocks";
-  fit_ithemal config ~features rng model eligible;
+  ithemal_phase config ~features ~rng model eligible;
   model
 
 let retrain_ithemal config ~features ~init ~train =
@@ -1451,9 +1370,9 @@ let retrain_ithemal config ~features ~init ~train =
   (* Fine-tune a clone: [init] may be live in a serving degradation
      chain, and zero-downtime hot-swap depends on its weights never
      changing while it serves. *)
-  let model = replicate init in
+  let model = Model.clone init in
   let rng = Rng.create (config.seed lxor 0x5c1f7b) in
-  fit_ithemal config ~features rng model eligible;
+  ithemal_phase config ~features ~rng model eligible;
   model
 
 let ithemal_predict_batch ~features model blocks =

@@ -24,8 +24,10 @@
     the run configuration; stale or corrupt files are ignored (counted
     in {!Fault.health}) and the phase restarts cleanly.
 
-    {!train_surrogate} and {!optimize_table} run one shared minibatch
-    loop, which also carries numeric-health guards: a minibatch
+    {!train_surrogate}, {!optimize_table} and the Ithemal baseline's
+    fit ({!train_ithemal}, {!retrain_ithemal}) run one shared minibatch
+    loop and one sharded minibatch step, and the loop also carries
+    numeric-health guards: a minibatch
     producing non-finite or exploding losses/gradients is rejected,
     the parameters/optimizer roll back to the last good in-memory
     snapshot, and the learning rate that failed is halved — so retries
@@ -45,9 +47,9 @@ module Model = Dt_surrogate.Model
     strata get more fresh samples, cheap strata re-draw from small
     table pools that resolve through the simcache.  Either way the
     dataset is bit-identical across [DIFFTUNE_DOMAINS] and resumes.
-    [config.sampling] is the only switch: {!collect}, {!train_ithemal}
-    and {!retrain_ithemal} read it directly, and no environment
-    variable overrides it ([difftune_cli learn --sampling] sets it). *)
+    [config.sampling] is the only switch, and only {!collect} reads
+    it; no environment variable overrides it ([difftune_cli learn
+    --sampling] sets it). *)
 type sampling = Uniform | Guided of Strata.config
 
 type config = {
@@ -123,7 +125,10 @@ val make_model : config -> Spec.t -> Dt_util.Rng.t -> Model.t
     fixed number of shards reduced in shard order, so results are
     bit-identical whatever [DIFFTUNE_DOMAINS] says.  With
     [?checkpoint_dir] the phase checkpoints periodically and resumes
-    mid-epoch; numeric-health incidents are counted in [?health]. *)
+    mid-epoch; numeric-health incidents are counted in [?health].
+    Every pool lane trains one clone of [model] on whichever shards it
+    takes; a shard's gradients go to that shard's own gradient-only
+    slot, and the slots are summed into [model] in shard order. *)
 val train_surrogate :
   ?checkpoint_dir:string ->
   ?health:Fault.health ->
@@ -201,7 +206,18 @@ val spec_features :
     compute parity with the physics-informed surrogate it may receive
     static analytic features per block (e.g. {!spec_features}, or the
     IACA bound decomposition); pass [None] for the pure paper
-    architecture. *)
+    architecture.
+
+    The fit is {!train_surrogate}'s loop and sharded step over the
+    measured blocks, with no parameter inputs: length-bucketed
+    {!Model.train_batch} minibatches on the pool's lanes, reduced in
+    shard order, so the weights are bit-identical whatever
+    [DIFFTUNE_DOMAINS] says.  A minibatch with non-finite or exploding
+    losses or gradients rolls back and halves the rate, and one that
+    persists raises [Fault.Error (Numeric_divergence { phase = Ithemal;
+    _ })].  The fit writes no checkpoint.  Its budget matches the
+    surrogate's per sample ([surrogate_passes] x [sim_multiplier] x
+    usable blocks), in minibatches of [batch]. *)
 val train_ithemal :
   config -> features:(Dt_x86.Block.t -> float array) option ->
   train:(Dt_x86.Block.t * float) list -> Model.t
@@ -216,11 +232,10 @@ val train_ithemal :
     Turaco-style reuse of traffic as training data.  The optimization
     budget follows [config] ([surrogate_passes] x [sim_multiplier] x
     usable blocks), so callers shrink [surrogate_passes] for cheap
-    incremental refreshes.  Under {!Guided} sampling the first epoch
-    stays uniform and the remaining step budget is reallocated across
-    strata by observed loss — the same {!Sampler.allocate} rule as
-    guided collection.
-    Raises [Invalid_argument] when every block exceeds
+    incremental refreshes.  Like every other phase, a retrain opens its
+    own pool ([DIFFTUNE_DOMAINS] lanes), so a lifecycle retrain on a
+    background domain runs its shards on that pool's workers; its
+    weights are bit-identical at any pool size.  Raises [Invalid_argument] when every block exceeds
     [max_train_block_len]. *)
 val retrain_ithemal :
   config -> features:(Dt_x86.Block.t -> float array) option ->

@@ -1,4 +1,4 @@
-type phase = Collect | Surrogate | Table
+type phase = Collect | Surrogate | Table | Ithemal
 
 type t =
   | Checkpoint_missing of { path : string }
@@ -32,6 +32,7 @@ let phase_name = function
   | Collect -> "collect"
   | Surrogate -> "surrogate"
   | Table -> "table"
+  | Ithemal -> "ithemal"
 
 let to_string = function
   | Checkpoint_missing { path } -> Printf.sprintf "no checkpoint at %s" path

@@ -9,8 +9,9 @@
     in a {!health} record carried in [Engine.result] so an operator can
     see what a "successful" run survived. *)
 
-(** Pipeline phase in which a fault occurred. *)
-type phase = Collect | Surrogate | Table
+(** Pipeline phase in which a fault occurred: one of DiffTune's three,
+    or the fit of the Ithemal baseline. *)
+type phase = Collect | Surrogate | Table | Ithemal
 
 type t =
   | Checkpoint_missing of { path : string }

@@ -3,8 +3,7 @@
     Pure integer arithmetic — no RNG, no floats compared for equality —
     so identical inputs always produce identical allocations regardless
     of domain count or resume point.  Used by {!Engine.collect} (guided
-    simulation budget) and the reservoir-fed retrain path (guided
-    gradient-step budget); see DESIGN.md §6j. *)
+    simulation budget); see DESIGN.md §6j. *)
 
 (** [allocate ~budget ~floor_frac ~sizes ~scores] splits [budget] draws
     over strata of population [sizes] with learning-complexity

@@ -551,11 +551,6 @@ let observe t ~asm ~value =
 
 (* ---- retraining ---- *)
 
-let clone_model m =
-  let c = Model.create ~config:(Model.config m) (Rng.create 0) in
-  Dt_nn.Nn.Store.copy_values ~src:(Model.store m) ~dst:(Model.store c);
-  c
-
 let retrain_finished t v result =
   match result with
   | Error detail ->
@@ -574,7 +569,7 @@ let start_retrain t =
   let data = reservoir_data t in
   (* Clone synchronously: the background domain must never touch the
      serving model's scratch workspace. *)
-  let init = clone_model (Atomic.get t.current).emodel in
+  let init = Model.clone (Atomic.get t.current).emodel in
   t.st <- Retraining;
   t.consecutive <- 0;
   let work () =

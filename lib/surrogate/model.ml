@@ -92,6 +92,11 @@ let create ?(config = default_config) rng =
 let config t = t.cfg
 let store t = t.store
 
+let clone t =
+  let c = create ~config:t.cfg (Dt_util.Rng.create 0) in
+  Nn.Store.copy_values ~src:t.store ~dst:c.store;
+  c
+
 type param_inputs = { per_instr : Ad.node array; global : Ad.node option }
 
 (* ---- per-sequence path: two stages ----

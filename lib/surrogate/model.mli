@@ -48,6 +48,13 @@ val create : ?config:config -> Dt_util.Rng.t -> t
 val config : t -> config
 val store : t -> Dt_nn.Nn.Store.t
 
+(** [clone t] — a model of [t]'s shape holding [t]'s parameter values,
+    with its own gradients, scratch workspace and owner: training or
+    predicting through the clone never touches [t].  Its store pairs
+    with [t]'s under {!Dt_nn.Nn.Store.copy_values} and
+    {!Dt_nn.Nn.Store.accum_grads}. *)
+val clone : t -> t
+
 (** Parameter inputs for one block: [per_instr.(i)] is the (normalized)
     parameter vector node for instruction [i]; [global] the global
     vector node.  Built from constants during surrogate training and from

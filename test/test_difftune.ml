@@ -374,24 +374,46 @@ let test_table_descent_domains () =
         (bits table) (bits (run d)))
     [ 2; 4 ]
 
-let test_ithemal_smoke () =
+let ithemal_features =
   let reference = Spec.mca_table_of_params (Dt_mca.Params.default Uarch.Haswell) in
-  let features = Some (Engine.spec_features spec ~reference) in
-  let model =
-    Engine.train_ithemal tiny_cfg ~features ~train:(Array.to_list tiny_train)
-  in
-  (* The fitted weights' bits, in store order.  After a deliberate
-     numeric change, re-record the digest from this check's failure. *)
+  Some (Engine.spec_features spec ~reference)
+
+let tiny_ithemal () =
+  Engine.train_ithemal tiny_cfg ~features:ithemal_features
+    ~train:(Array.to_list tiny_train)
+
+(* MD5 over the model's weight bits, in store order. *)
+let weights_digest model =
   let b = Buffer.create 65536 in
   List.iter
     (fun (_, _, _, data) ->
       Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) data)
     (Dt_nn.Nn.Store.export_values (Dt_surrogate.Model.store model));
-  Alcotest.(check string) "fitted weights digest"
-    "6d622fca97beb328da66e084c2ea64e4"
-    (Digest.to_hex (Digest.string (Buffer.contents b)));
-  let p = Engine.ithemal_predict ~features model (fst tiny_train.(0)) in
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The fitted weights' bits.  After a deliberate numeric change,
+   re-record the digest from [ithemal smoke]'s failure. *)
+let ithemal_digest = "7a1442685595ff54ea03c1dc72c4387a"
+
+let test_ithemal_smoke () =
+  let model = tiny_ithemal () in
+  Alcotest.(check string) "fitted weights digest" ithemal_digest
+    (weights_digest model);
+  let p =
+    Engine.ithemal_predict ~features:ithemal_features model (fst tiny_train.(0))
+  in
   Alcotest.(check bool) "finite positive" true (Float.is_finite p && p > 0.0)
+
+(* The Ithemal fit runs on the same fixed shards as surrogate training:
+   its weights' bits are the pinned ones at 1, 2 and 4 domains. *)
+let test_ithemal_domains () =
+  List.iter
+    (fun d ->
+      Alcotest.(check string)
+        (Printf.sprintf "domains=%d digest" d)
+        ithemal_digest
+        (weights_digest (with_domains d tiny_ithemal)))
+    [ 1; 2; 4 ]
 
 let () =
   Alcotest.run "difftune"
@@ -428,5 +450,7 @@ let () =
           Alcotest.test_case "beats random" `Slow
             test_learned_better_than_random_smoke;
           Alcotest.test_case "ithemal smoke" `Slow test_ithemal_smoke;
+          Alcotest.test_case "ithemal fit pinned at 1/2/4 domains" `Quick
+            test_ithemal_domains;
         ] );
     ]

@@ -590,6 +590,56 @@ let test_backoff_compounds () =
             fun d -> { tiny_cfg with table_lr = tiny_cfg.table_lr /. d } );
         ])
 
+(* The Ithemal baseline's fit runs the same phase loop, so its
+   minibatches pass the [grad.nan] site and its faults roll back. *)
+let tiny_ithemal cfg =
+  Engine.train_ithemal cfg ~features:None ~train:(Array.to_list tiny_train)
+
+let ithemal_bits model =
+  Array.map
+    (fun (b, _) ->
+      Int64.bits_of_float (Engine.ithemal_predict ~features:None model b))
+    tiny_valid
+
+let test_ithemal_nan_rollback () =
+  with_faults (fun () ->
+      Faultsim.arm "grad.nan" ~at:max_int;
+      let clean = ithemal_bits (tiny_ithemal tiny_cfg) in
+      let minibatches = Faultsim.hits "grad.nan" in
+      Faultsim.clear ();
+      (* Poison the fit's first minibatch: it is rolled back and rerun at
+         half the rate, which is a clean fit at half the rate. *)
+      Faultsim.arm "grad.nan" ~at:1;
+      let rolled = ithemal_bits (tiny_ithemal tiny_cfg) in
+      Alcotest.(check int) "first minibatch rerun" (minibatches + 1)
+        (Faultsim.hits "grad.nan");
+      Faultsim.clear ();
+      Array.iter
+        (fun v ->
+          Alcotest.(check bool) "finite prediction" true
+            (Float.is_finite (Int64.float_of_bits v)))
+        rolled;
+      Alcotest.(check bool) "differs from the unarmed fit" true (rolled <> clean);
+      let half =
+        ithemal_bits
+          (tiny_ithemal
+             { tiny_cfg with surrogate_lr = tiny_cfg.surrogate_lr /. 2.0 })
+      in
+      Alcotest.(check (array int64)) "clean fit at half the rate" half rolled)
+
+let test_ithemal_divergence () =
+  with_faults (fun () ->
+      for k = 1 to 64 do
+        Faultsim.arm "grad.nan" ~at:k
+      done;
+      match tiny_ithemal tiny_cfg with
+      | _ -> Alcotest.fail "expected Numeric_divergence"
+      | exception
+          Fault.Error (Fault.Numeric_divergence { phase; retries; _ }) ->
+          Alcotest.(check string) "phase" "ithemal" (Fault.phase_name phase);
+          Alcotest.(check int) "full retry budget consumed" 4 retries
+      | exception e -> Alcotest.fail (Printexc.to_string e))
+
 let test_no_training_blocks_fault () =
   let cfg = { tiny_cfg with Engine.max_train_block_len = 0 } in
   match Engine.collect cfg wl_spec (Array.map fst tiny_train) with
@@ -660,6 +710,10 @@ let () =
             test_divergence_budget_exhausted;
           Alcotest.test_case "rollback backoff compounds" `Slow
             test_backoff_compounds;
+          Alcotest.test_case "ithemal nan gradient rollback" `Quick
+            test_ithemal_nan_rollback;
+          Alcotest.test_case "ithemal divergence budget" `Quick
+            test_ithemal_divergence;
           Alcotest.test_case "no training blocks" `Quick
             test_no_training_blocks_fault;
           Alcotest.test_case "worker fault propagates" `Quick

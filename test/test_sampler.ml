@@ -393,9 +393,10 @@ let test_guided_beats_uniform_at_equal_budget () =
     true
     (guided <= uniform)
 
-(* ---- guided retrain path ---- *)
+(* ---- retrain path ---- *)
 
-let test_retrain_guided_deterministic () =
+(* Two retrains of one model on the same traffic are bit-identical. *)
+let test_retrain_deterministic () =
   let blocks = skewed_corpus ~easy:12 ~hard:4 in
   let train =
     Array.to_list
@@ -407,8 +408,7 @@ let test_retrain_guided_deterministic () =
   let cfg =
     { toy_cfg with surrogate_passes = 2.0; sim_multiplier = 2 }
   in
-  let init = Engine.train_ithemal { cfg with sampling = Engine.Uniform }
-               ~features:None ~train in
+  let init = Engine.train_ithemal cfg ~features:None ~train in
   let a = Engine.retrain_ithemal cfg ~features:None ~init ~train in
   let b = Engine.retrain_ithemal cfg ~features:None ~init ~train in
   let blocks_arr = Array.of_list (List.map fst train) in
@@ -417,7 +417,7 @@ let test_retrain_guided_deterministic () =
   Array.iteri
     (fun i v ->
       Alcotest.(check bool) "finite prediction" true (Float.is_finite v);
-      Alcotest.(check bool) "guided retrain deterministic" true
+      Alcotest.(check bool) "retrain deterministic" true
         (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float pb.(i))))
     pa
 
@@ -459,7 +459,7 @@ let () =
         [
           Alcotest.test_case "guided <= uniform at equal budget" `Slow
             test_guided_beats_uniform_at_equal_budget;
-          Alcotest.test_case "guided retrain deterministic" `Quick
-            test_retrain_guided_deterministic;
+          Alcotest.test_case "retrain deterministic" `Quick
+            test_retrain_deterministic;
         ] );
     ]
