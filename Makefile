@@ -1,6 +1,6 @@
 # Convenience targets for the DiffTune reproduction.
 
-.PHONY: all build test lint racecheck verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-json-train bench-json-refcpu bench-json-sanitize bench-guard bench-sampling clean doc quickstart
+.PHONY: all build test lint verify serve-smoke fleet-smoke loadtest bench bench-full bench-json bench-json-mca bench-json-train bench-json-refcpu bench-json-sanitize bench-guard bench-sampling clean doc quickstart
 
 all: build
 
@@ -11,18 +11,10 @@ test:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 
 # Repo lint: dt_lint walks lib/ and bin/ with the Dt_analysis.Lint AST
-# rules and fails on any non-whitelisted finding.
+# rules and fails on any non-whitelisted finding.  `dune runtest` runs
+# it too.
 lint:
 	dune build @lint
-
-# dt_race suite: the dynamic lock-order/race sanitizer unit tests plus
-# the armed race.* fault sites end-to-end (DIFFTUNE_RACECHECK=1), then
-# the five lock-discipline lint rules over the tree.
-racecheck: build
-	DIFFTUNE_RACECHECK=1 dune exec test/test_race.exe
-	dune exec bin/dt_lint.exe -- --only \
-	  unguarded-mutation,lock-no-protect,blocking-under-lock,lock-order,atomic-rmw \
-	  lib bin
 
 # End-to-end serving smoke: drives the real `difftune_cli serve` daemon
 # over stdio and a Unix socket with worker crashes, a pathologically
@@ -46,76 +38,19 @@ fleet-smoke: build
 loadtest: build
 	dune exec bench/loadtest.exe -- _build/default/bin/difftune_cli.exe
 
-# Full verification: build, repo lint, the regular test suite (which
-# already runs every suite and smoke once in the default environment),
-# then only the cells that change a DIFFTUNE_* variable: the fault
-# smoke matrix — every injection site crossed with serial and
-# parallel pools.  Each cell kills/corrupts a checkpointed training run
-# and requires it to converge (bit-identically, unless the fault was
-# numeric).  One extra cell re-runs the combined fault spec with the
-# graph sanitizer armed: arena poisoning and generation stamps must stay
-# quiet on correct code even while faults fire.  Every trace runs on
-# the one autodiff interpreter, so no cell varies the executor.
-FAULT_SPECS = pool.worker@2 grad.nan@2 ckpt.truncate@1 engine.abort@2 \
-              collect.pilot_crash@1 "engine.abort@2;grad.nan@3"
+# Full verification: the build, tier-1 (`dune runtest`: every suite
+# and smoke, the lint, the fault matrix with its sanitizer cells, and
+# the race-checked sampler, engine and fleet runs), then the bench
+# guard.
 verify: build
-	dune build @lint
 	dune runtest --force
-	@for faults in $(FAULT_SPECS); do \
-	  for domains in 1 4; do \
-	    echo "== faults=$$faults domains=$$domains =="; \
-	    DIFFTUNE_FAULTS="$$faults" DIFFTUNE_DOMAINS=$$domains \
-	      dune exec test/fault_smoke.exe || exit 1; \
-	  done; \
-	done
-	@echo "== faults=engine.abort@2;grad.nan@3 domains=4 sanitize=1 =="
-	DIFFTUNE_SANITIZE=1 DIFFTUNE_FAULTS="engine.abort@2;grad.nan@3" \
-	  DIFFTUNE_DOMAINS=4 dune exec test/fault_smoke.exe || exit 1
-	@# Sampling cell: the complexity-guided collection suite
-	@# (stratifier determinism, allocation floors, pilot kill/resume,
-	@# guided-vs-uniform fidelity) with the dynamic race sanitizer
-	@# armed (guided collect runs pilot fits and simcache traffic
-	@# across domains).
-	@echo "== sampler racecheck=1 =="
-	DIFFTUNE_RACECHECK=1 dune exec test/test_sampler.exe || exit 1
-	@# Confinement cell: the race sanitizer checks each surrogate
-	@# model's owner token around its batched calls while the engine
-	@# suite trains, fits and descends (the table descent and the
-	@# Ithemal fit at 1, 2 and 4 domains).  Every phase keeps one model
-	@# clone and context per pool lane and runs each lane's shards on
-	@# them, and descent computes each block's token vectors on the
-	@# lanes before its first step; this cell must stay quiet with that
-	@# work spread over them.  The same suite pins the learned tables'
-	@# bits (test_table_descent_domains, test_learn_end_to_end_smoke)
-	@# and the Ithemal fit's (test_ithemal_smoke): a learn-loop change
-	@# keeps those pins and every learn-quick golden check of the
-	@# end-to-end benchmark.
-	@echo "== difftune racecheck=1 =="
-	DIFFTUNE_RACECHECK=1 dune exec test/test_difftune.exe || exit 1
-	@# dt_race cell: the armed race.unlocked_write / race.lock_cycle
-	@# sites must be caught by the dynamic checker (the test binary also
-	@# proves they are MISSED with checking off).
-	@echo "== racecheck=1 =="
-	DIFFTUNE_RACECHECK=1 dune exec test/test_race.exe || exit 1
-	@# Sharded-fleet cell: the end-to-end fleet smoke (shard crash / net
-	@# partition / slow shard armed via fleet-spec shard_faults) with
-	@# the race sanitizer armed inside every shard daemon.  The
-	@# lifecycle suite, the serving smoke (whose lifecycle retrains run
-	@# on a pool of their own), the cluster suite and the plain fleet
-	@# smoke run once, in dune runtest above.
-	@echo "== fleet racecheck=1 =="
-	DIFFTUNE_RACECHECK=1 \
-	  dune exec test/fleet_smoke.exe -- _build/default/bin/difftune_cli.exe \
-	  || exit 1
-	@echo "== bench guard =="
 	dune exec bench/main.exe -- perf-guard
-	@echo "verify: all fault combinations passed"
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
 bench-full:
-	DIFFTUNE_SCALE=full dune exec bench/main.exe 2>&1 | tee bench_output.txt
+	dune exec bench/main.exe -- --full 2>&1 | tee bench_output.txt
 
 # Machine-readable perf snapshot (ns/op + domain-scaling samples/sec;
 # includes the sanitizer forward+backward overhead measurement).
@@ -138,8 +73,8 @@ bench-json-train:
 bench-json-refcpu:
 	dune exec bench/main.exe -- perf-json-refcpu
 
-# Sanitizer overhead rows only (the per-sequence train step with
-# DIFFTUNE_SANITIZE off and on, interleaved) -> BENCH_PR25.json, whose
+# Sanitizer overhead rows only (the per-sequence train step with the
+# graph sanitizer off and on, interleaved) -> BENCH_PR25.json, whose
 # sanitize.overhead_pct bench-guard bounds at 15%.
 bench-json-sanitize:
 	dune exec bench/main.exe -- perf-json-sanitize

@@ -23,17 +23,12 @@ let cli =
   if Array.length Sys.argv >= 2 then Sys.argv.(1)
   else "_build/default/bin/difftune_cli.exe"
 
-let env_int key default =
-  match Sys.getenv_opt key with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 let shards = 4
-let connections = env_int "DIFFTUNE_LOADTEST_CONNS" 64
-let window = env_int "DIFFTUNE_LOADTEST_WINDOW" 32
-let total_requests = env_int "DIFFTUNE_LOADTEST_N" 8192
-let corpus_size = env_int "DIFFTUNE_LOADTEST_CORPUS" 512
-let seed = env_int "DIFFTUNE_LOADTEST_SEED" 9
+let connections = 64
+let window = 32
+let total_requests = 8192
+let corpus_size = 512
+let seed = 9
 let zipf_s = 1.1
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("loadtest: " ^ s); exit 1) fmt
@@ -104,15 +99,6 @@ let spec =
   "shard_faults": { "0": "cluster.shard_crash@800" }
 }|}
     shards dir
-
-let fleet_env () =
-  let keep e =
-    not
-      (String.length e >= 15
-      && (String.sub e 0 15 = "DIFFTUNE_FAULTS"
-         || String.sub e 0 15 = "DIFFTUNE_DOMAIN"))
-  in
-  Array.of_list (List.filter keep (Array.to_list (Unix.environment ())))
 
 let connect_with_retry path =
   let deadline = Unix.gettimeofday () +. 20.0 in
@@ -269,9 +255,8 @@ let () =
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let pid =
-    Unix.create_process_env cli
-      [| cli; "fleet"; spec_path |]
-      (fleet_env ()) devnull out_w Unix.stderr
+    Unix.create_process cli [| cli; "fleet"; spec_path |] devnull out_w
+      Unix.stderr
   in
   Unix.close devnull;
   Unix.close out_w;

@@ -13,7 +13,7 @@
                                    # reference machine row -> BENCH_PR24.json
      dune exec bench/main.exe perf-json-sanitize
                                    # sanitizer overhead rows -> BENCH_PR25.json
-     DIFFTUNE_SCALE=full dune exec bench/main.exe   # larger budgets *)
+     dune exec bench/main.exe -- --full       # larger budgets *)
 
 module Experiments = Dt_exp.Experiments
 module Scale = Dt_exp.Scale
@@ -270,7 +270,7 @@ let scaling () =
 
 (* ---- Sanitizer overhead: surrogate forward+backward, off vs on ---- *)
 
-(* The graph sanitizer (DIFFTUNE_SANITIZE) adds per-op stamp checks,
+(* The graph sanitizer (Ad.set_sanitize) adds per-op stamp checks,
    shape inference, a poison scan of each output, and a post-backward
    flow audit.  This measures the full per-sequence train step both
    ways; bench-guard bounds sanitize.overhead_pct. *)
@@ -543,7 +543,7 @@ let lifecycle_rows () =
 
 (* ---- dt_race: dynamic sanitizer overhead on the serving path (PR 8) ----
 
-   Warmed serving cost with DIFFTUNE_RACECHECK toggled: with checking on,
+   Warmed serving cost with Sync.set_racecheck toggled: with checking on,
    every runtime/breaker/pool/simcache acquisition pays the held-stack
    bookkeeping (plus order-graph DFS on nested acquisitions) and every
    guarded structure access re-stamps its token.  bench-guard holds the
@@ -879,7 +879,9 @@ let ablation_depth () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let scale = Scale.from_env () in
+  let full = List.mem "--full" args in
+  let args = List.filter (fun a -> a <> "--full") args in
+  let scale = if full then Scale.full else Scale.quick in
   Printf.printf "DiffTune benchmark harness (scale: %s)\n%!" scale.Scale.name;
   let runner = Runner.create scale in
   let known =

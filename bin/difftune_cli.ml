@@ -73,6 +73,10 @@ let size_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+let full_arg =
+  Arg.(value & flag
+       & info [ "full" ] ~doc:"Use the full (slow) training scale.")
+
 (* ---- dataset ---- *)
 
 let dataset_cmd =
@@ -228,10 +232,6 @@ let learn_cmd =
              ~doc:"Parameter spec: mca (full Table II), mca-wl (WriteLatency \
                    only, Section VI-B), or usim (Table VII).")
   in
-  let full_arg =
-    Arg.(value & flag
-         & info [ "full" ] ~doc:"Use the full (slow) training scale.")
-  in
   let ckpt_arg =
     Arg.(value & opt (some string) None
          & info [ "checkpoint-dir" ] ~docv:"DIR"
@@ -337,21 +337,19 @@ let experiment_cmd =
              ~doc:"Checkpoint every DiffTune run under $(docv) so an \
                    interrupted experiment resumes instead of restarting.")
   in
-  let run name checkpoint_dir = guarded @@ fun () ->
+  let run name full checkpoint_dir = guarded @@ fun () ->
     match List.assoc_opt name Dt_exp.Experiments.all with
     | None ->
         Dt_util.Log.error "unknown experiment %S" name;
         exit exit_validation
     | Some f ->
-        let runner =
-          Dt_exp.Runner.create ?checkpoint_dir (Dt_exp.Scale.from_env ())
-        in
-        f runner
+        let scale = if full then Dt_exp.Scale.full else Dt_exp.Scale.quick in
+        f (Dt_exp.Runner.create ?checkpoint_dir scale)
   in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Reproduce one of the paper's tables or figures")
-    Term.(const run $ name_arg $ ckpt_arg)
+    Term.(const run $ name_arg $ full_arg $ ckpt_arg)
 
 (* ---- serve ---- *)
 
@@ -472,11 +470,29 @@ let serve_cmd =
              ~doc:"Retrain inline at the batch boundary instead of on a \
                    background domain (deterministic timing, for tests).")
   in
+  let faults_arg =
+    Arg.(value & opt (some string) None
+         & info [ "faults" ] ~docv:"SPEC"
+             ~doc:"Arm fault-injection sites, e.g. \
+                   $(b,serve.worker_crash@2;serve.slow_block@4): a ';'- \
+                   or ','-separated list of SITE@HIT entries (see \
+                   Dt_util.Faultsim).  A malformed spec exits 5.")
+  in
+  let racecheck_arg =
+    Arg.(value & flag
+         & info [ "racecheck" ]
+             ~doc:"Arm the dynamic lock-order/race checker \
+                   (Dt_util.Sync): a lock-order cycle or an unlocked \
+                   access to a guarded structure becomes a structured \
+                   error, and $(b,stats) reports racecheck.* counters.")
+  in
   let run uarch seed socket queue batch cycle_budget max_retries
       breaker_threshold breaker_cooldown domains train_surrogate corpus
       shadow_every window drift_band quantile_band drift_windows canary
-      model_dir min_retrain sync_retrain =
+      model_dir min_retrain sync_retrain faults racecheck =
     guarded @@ fun () ->
+    Option.iter Dt_util.Faultsim.configure faults;
+    if racecheck then Dt_util.Sync.set_racecheck true;
     let mca = Dt_serve.Backend.mca uarch in
     let bound = Dt_serve.Backend.bound uarch in
     let backends, lifecycle =
@@ -567,7 +583,7 @@ let serve_cmd =
           $ cooldown_arg $ domains_arg $ surrogate_arg $ corpus_arg
           $ shadow_arg $ window_arg $ band_arg $ quantile_band_arg
           $ windows_arg $ canary_arg $ model_dir_arg $ min_retrain_arg
-          $ sync_retrain_arg)
+          $ sync_retrain_arg $ faults_arg $ racecheck_arg)
 
 (* ---- route (sharded-serving router over existing daemons) ---- *)
 

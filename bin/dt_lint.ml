@@ -6,8 +6,8 @@
    Walks every .ml file under the given roots (default: lib bin),
    prints non-whitelisted findings, and exits 1 if there are any.
    --only restricts the run to the named rules (e.g. the five dt_race
-   lock-discipline rules).  Wired into `dune build @lint` and
-   `make verify`. *)
+   lock-discipline rules).  Wired into `dune build @lint`, which
+   `dune runtest` builds. *)
 
 module Lint = Dt_analysis.Lint
 

@@ -317,6 +317,27 @@ let atomic_rmw_rule =
     whitelist = [];
   }
 
+(* A library or CLI that reads the environment is reconfigured by
+   whatever launched the process, and nothing in its arguments shows
+   it: every setting is an argument, a setter or a CLI flag where it is
+   used.  The one switch left is the pool size's default. *)
+let env_read_rule =
+  {
+    name = "env-read";
+    summary =
+      "environment access (Sys.getenv/getenv_opt, Unix.getenv/putenv/\
+       environment) in lib/ or bin/ is a process-global switch no \
+       argument shows; take the setting as an argument, a setter or a \
+       CLI flag";
+    in_scope = (fun path -> contains path "lib/" || contains path "bin/");
+    whitelist =
+      [
+        ( "lib/util/pool.ml",
+          "DIFFTUNE_DOMAINS in Pool.default_domains: the CLI's default \
+           pool size and the end-to-end benchmark's pin" );
+      ];
+  }
+
 let rules =
   [
     float_eq_rule;
@@ -331,6 +352,7 @@ let rules =
     blocking_under_lock_rule;
     lock_order_rule;
     atomic_rmw_rule;
+    env_read_rule;
   ]
 
 (* ---- detection helpers ---- *)
@@ -672,6 +694,19 @@ let lint_ast ~path ?only ast =
                  "%s inside a for loop runs one row at a time; batch the \
                   rows and call gemm/matmul once per step"
                  fn)
+        | _ -> ());
+        (match txt with
+        | Longident.Ldot (qual, fn) -> (
+            match (last_of qual, fn) with
+            | Some "Sys", ("getenv" | "getenv_opt")
+            | Some "Unix", ("getenv" | "putenv" | "environment") ->
+                add env_read_rule loc
+                  (Printf.sprintf
+                     "%s reads or writes the process environment, a \
+                      switch no argument shows; pass the setting as an \
+                      argument, a setter or a CLI flag"
+                     (String.concat "." (Longident.flatten txt)))
+            | _ -> ())
         | _ -> ());
         (match txt with
         | Longident.Ldot (qual, fn) when !for_depth > 0 -> (

@@ -11,9 +11,10 @@
     [Fun.protect], blocking calls while a lock is held (and condition
     waits outside predicate loops), nested acquisition violating the
     declared lock-rank order, and non-atomic [Atomic.t]
-    read-modify-write.  Whitelists are part of the rule definitions and
-    carry a written justification; see DESIGN.md "Correctness tooling"
-    and "Concurrency checking". *)
+    read-modify-write.  The env-read rule flags environment access in
+    [lib/] and [bin/] outside [Pool.default_domains].  Whitelists are
+    part of the rule definitions and carry a written justification; see
+    DESIGN.md "Correctness tooling" and "Concurrency checking". *)
 
 type finding = {
   rule : string;

@@ -79,7 +79,7 @@ type ctx = {
 
 (* ---- sanitize mode ----
 
-   Off by default; enabled by DIFFTUNE_SANITIZE=1 or [set_sanitize].
+   Off by default; enabled by [set_sanitize true].
    Correct code behaves identically with it on — it only adds checks:
    operand generation/context validation, shape inference with
    op-qualified messages, arena poisoning on reset plus a post-op poison
@@ -89,11 +89,7 @@ exception Shape_error of string
 exception Use_after_reset of string
 exception Uninitialized_read of string
 
-let sanitize =
-  ref
-    (match Sys.getenv_opt "DIFFTUNE_SANITIZE" with
-    | Some ("1" | "true" | "on" | "yes") -> true
-    | _ -> false)
+let sanitize = ref false
 
 let set_sanitize b = sanitize := b
 let sanitize_enabled () = !sanitize

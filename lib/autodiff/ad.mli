@@ -24,8 +24,8 @@ type node
 (* ---- sanitize mode ----
 
    A debug mode (off by default) that turns silent workspace-corruption
-   bugs into immediate exceptions.  Enabled by [DIFFTUNE_SANITIZE=1] in
-   the environment or {!set_sanitize}.  When on:
+   bugs into immediate exceptions.  Enabled by {!set_sanitize}[ true].
+   When on:
 
    - every op validates operand shapes and raises {!Shape_error} with
      the op name and the offending shapes — including cases the fast

@@ -183,35 +183,25 @@ type child = {
   mutable gave_up : bool;
 }
 
-(* Shard daemons inherit our environment minus any DIFFTUNE_FAULTS (the
-   supervisor being under test must not arm its children) plus the
-   shard's own spec entry, if any. *)
-let child_env spec idx =
-  let base =
-    Array.to_list (Unix.environment ())
-    |> List.filter (fun kv ->
-           not (String.length kv >= 16
-                && String.equal (String.sub kv 0 16) "DIFFTUNE_FAULTS="))
-  in
-  let extra =
+(* A shard's faults are its own spec entry, passed on its command line;
+   nothing else arms it. *)
+let spawn_shard spec ~cli idx =
+  let faults =
     match List.assoc_opt idx spec.Spec.shard_faults with
-    | Some faults -> [ "DIFFTUNE_FAULTS=" ^ faults ]
+    | Some faults -> [ "--faults"; faults ]
     | None -> []
   in
-  Array.of_list (base @ extra)
-
-let spawn_shard spec ~cli idx =
   let args =
     [ cli; "serve"; "--socket"; Spec.shard_socket spec idx; "--uarch";
       Uarch.uarch_name spec.Spec.uarch ]
-    @ spec.Spec.serve_flags
+    @ spec.Spec.serve_flags @ faults
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close devnull with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.create_process_env cli (Array.of_list args) (child_env spec idx)
-        devnull Unix.stdout Unix.stderr)
+      Unix.create_process cli (Array.of_list args) devnull Unix.stdout
+        Unix.stderr)
 
 let restart_delay spec restarts =
   let doublings = Int.max 0 (Int.min (restarts - 1) 30) in

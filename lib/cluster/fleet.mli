@@ -31,9 +31,9 @@
     [serve] holds extra flags passed to every [difftune serve] daemon
     verbatim ([{"queue": 256}] becomes [--queue 256]; a [true] value is
     a bare flag).  [shard_faults] maps shard indices to
-    [DIFFTUNE_FAULTS] specs armed {e only} in that daemon's
-    environment — the supervisor's own environment never leaks fault
-    arming into shards. *)
+    {!Dt_util.Faultsim} specs, passed as [--faults SPEC] to that daemon
+    only: shards run in the supervisor's environment, and no other
+    path arms them. *)
 
 module Spec : sig
   type t = {

@@ -63,12 +63,12 @@ type t =
           serving continues on the current model and drift tracking
           restarts. *)
   | Lock_cycle of { chain : string list }
-      (** Concurrency (DIFFTUNE_RACECHECK=1): acquiring a lock would
+      (** Concurrency (racecheck on): acquiring a lock would
           close a cycle in the observed lock-acquisition order — a
           potential deadlock, reported before blocking.  [chain] is the
           lock-name path closing the cycle. *)
   | Race of { structure : string; first : string; second : string }
-      (** Concurrency (DIFFTUNE_RACECHECK=1): a guarded structure was
+      (** Concurrency (racecheck on): a guarded structure was
           accessed without its lock / owner discipline; [first] and
           [second] name the two conflicting sites. *)
 

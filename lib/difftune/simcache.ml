@@ -7,7 +7,7 @@
    only successful computations are inserted — exceptions (deadline
    overruns, injected faults) propagate uncached.
 
-   All locking goes through Dt_util.Sync, so DIFFTUNE_RACECHECK=1 gets
+   All locking goes through Dt_util.Sync, so racecheck gets
    lock-order edges and a guard stamp on the LRU structure.  The
    race.unlocked_write fault site deliberately runs one insert without
    the lock to prove the guard catches it. *)
@@ -99,7 +99,7 @@ let add_locked t key value =
 let add t key value =
   if Dt_util.Faultsim.fire "race.unlocked_write" then
     (* Seeded lock-discipline violation: mutate the LRU without the
-       mutex.  Under DIFFTUNE_RACECHECK=1 the guard check stamps this
+       mutex.  With racecheck on the guard check stamps this
        site (or raises immediately if another domain holds the lock);
        the next locked access raises Sync.Race naming both sites.
        With racecheck off this is the silent race it models. *)

@@ -82,12 +82,3 @@ let full =
     opentuner_parity = 5;
     seeds = [ 3; 4; 5 ];
   }
-
-let from_env () =
-  match Sys.getenv_opt "DIFFTUNE_SCALE" with
-  | Some "full" -> full
-  | Some "smoke" -> smoke
-  | Some "quick" | None -> quick
-  | Some other ->
-      Dt_util.Log.warn "unknown DIFFTUNE_SCALE %S, using quick" other;
-      quick

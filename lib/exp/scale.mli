@@ -3,9 +3,9 @@
     The paper trains on 230k blocks with a V100 for hours; this
     reproduction runs on one CPU, so every experiment is parameterized by
     a scale.  [quick] regenerates every table and figure in tens of
-    minutes; [full] uses larger corpora and training budgets.  Select with
-    the [DIFFTUNE_SCALE] environment variable ([quick] (default) or
-    [full]). *)
+    minutes; [full] uses larger corpora and training budgets.  The
+    harnesses run [quick] unless given [--full] ([difftune_cli learn],
+    [difftune_cli experiment], [bench/main.exe]). *)
 
 type t = {
   name : string;
@@ -22,6 +22,3 @@ val smoke : t
 
 val quick : t
 val full : t
-
-(** Reads [DIFFTUNE_SCALE]; defaults to [quick]. *)
-val from_env : unit -> t

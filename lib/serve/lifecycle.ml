@@ -522,7 +522,7 @@ let finalize_window t =
 
 (* The window/reservoir/counter state below is drain-thread confined by
    design (no lock): [with_owner] makes that confinement checkable —
-   under DIFFTUNE_RACECHECK=1 a second domain entering while the drain
+   with racecheck on a second domain entering while the drain
    thread is inside raises Sync.Race naming both sites. *)
 let observe t ~asm ~value =
   Sync.with_owner t.downer ~site:"Lifecycle.observe" @@ fun () ->

@@ -267,8 +267,8 @@ let process_chain t ?lane0_value entry =
 let process t ?lane0_value entry =
   try
     (* Seeded lock-order inversion: probe the runtime queue lock against
-       the first lane's breaker lock in both nesting orders.  Under
-       DIFFTUNE_RACECHECK=1 the second nesting closes a cycle and the
+       the first lane's breaker lock in both nesting orders.  With
+       racecheck on the second nesting closes a cycle and the
        handler below reports a structured Fault.Lock_cycle; with
        checking off it is four uncontended lock/unlock pairs. *)
     if Faultsim.fire "race.lock_cycle" then

@@ -47,7 +47,7 @@ let final_stats_line rt ~drained =
 (* ---- cluster fault sites ----
 
    Three deterministic shard pathologies for the router's failover
-   ladder, armed per shard via DIFFTUNE_FAULTS in its fleet spec entry:
+   ladder, armed per shard by [--faults] from its fleet spec entry:
 
    - [cluster.shard_crash]: the process dies abruptly (no drain, no
      socket-file cleanup) — a SIGKILL-class loss the supervisor must

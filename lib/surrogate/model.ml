@@ -44,7 +44,7 @@ type t = {
   owner : Dt_util.Sync.owner;
       (** one domain at a time trains or predicts through a model (its
           gradient buffers and scratch workspace are unlocked);
-          DIFFTUNE_RACECHECK=1 checks it *)
+          racecheck checks it *)
 }
 
 let create ?(config = default_config) rng =

@@ -133,7 +133,7 @@ val forward_batch : t -> Dt_autodiff.Ad.ctx -> batch_sample array -> Dt_autodiff
     positive) and runs backward, accumulating weight gradients — exactly
     the sum of the per-sequence gradients.  Returns the per-sample
     losses.  One domain at a time may train or predict through [t]; with
-    [DIFFTUNE_RACECHECK=1] an overlap raises {!Dt_util.Sync.Race}. *)
+    racecheck on an overlap raises {!Dt_util.Sync.Race}. *)
 val train_batch :
   t -> Dt_autodiff.Ad.ctx -> batch_sample array -> targets:float array ->
   float array

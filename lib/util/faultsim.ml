@@ -9,12 +9,8 @@ let st = { armed = []; counters = Hashtbl.create 8 }
 let m = Mutex.create ()
 
 (* Fast path for the common case of no injection: checked without the
-   lock so instrumented hot loops pay one atomic load.  [initialized]
-   (explicit config or env already loaded) is read on the same unlocked
-   fast path, so it is an Atomic too — a plain mutable here was a data
-   race the dt_race audit flagged. *)
+   lock so instrumented hot loops pay one atomic load. *)
 let any_armed = Atomic.make false
-let initialized = Atomic.make false
 
 let locked f =
   Mutex.lock m;
@@ -23,7 +19,6 @@ let locked f =
 let reset_locked armed =
   st.armed <- armed;
   Hashtbl.reset st.counters;
-  Atomic.set initialized true;
   Atomic.set any_armed (armed <> [])
 
 let parse spec =
@@ -60,22 +55,12 @@ let arm site ~at =
   if at < 1 then invalid_arg "Faultsim.arm: hit number must be >= 1";
   locked (fun () ->
       st.armed <- (site, at) :: st.armed;
-      Atomic.set initialized true;
       Atomic.set any_armed true)
 
-let load_env_locked () =
-  if not (Atomic.get initialized) then begin
-    (match Sys.getenv_opt "DIFFTUNE_FAULTS" with
-    | Some spec when String.trim spec <> "" -> reset_locked (parse spec)
-    | _ -> ());
-    Atomic.set initialized true
-  end
-
 let fire site =
-  if (not (Atomic.get any_armed)) && Atomic.get initialized then false
+  if not (Atomic.get any_armed) then false
   else
     locked (fun () ->
-        load_env_locked ();
         if st.armed = [] then false
         else begin
           let hit =

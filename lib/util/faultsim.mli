@@ -2,17 +2,19 @@
 
     Long training runs must survive worker crashes, NaN gradients, and
     torn checkpoint files; those paths are worthless if they are only
-    executed in production.  This module lets tests (and a [make verify]
-    smoke matrix) *force* each failure at a precise, reproducible point.
+    executed in production.  This module lets tests (and the
+    [fault_smoke] matrix) *force* each failure at a precise, reproducible
+    point.
 
     Code under test declares named {e sites} by calling {!fire} (or
     {!fire_exn}) at the place where a fault could occur; each call counts
     one {e hit} of that site.  A site is {e armed} at hit number [k]
-    (1-based) either programmatically ({!arm}) or via the
-    [DIFFTUNE_FAULTS] environment variable, a [;]- or [,]-separated list
-    of [site\@k] entries (bare [site] means [site\@1]):
+    (1-based) by {!arm} or by {!configure} with a spec, a [;]- or
+    [,]-separated list of [site\@k] entries (bare [site] means
+    [site\@1]).  A serve daemon takes the spec as [--faults], and a
+    fleet passes each shard its [shard_faults] entry that way:
 
-    {v DIFFTUNE_FAULTS="pool.worker@2;grad.nan@3" v}
+    {v difftune_cli serve --faults "pool.worker@2;grad.nan@3" v}
 
     Sites used by this repository:
     - [pool.worker] — raise {!Injected} inside a {!Pool.run} task;
@@ -50,9 +52,9 @@
       window ordinal regardless of the real error level;
     - [race.unlocked_write] — make one [Simcache.add] mutate the LRU
       structure {e outside} its mutex: a seeded data race that the
-      dynamic sanitizer ([DIFFTUNE_RACECHECK=1]) must report as
-      {!Dt_util.Sync.Race} with both conflicting sites, and that must
-      pass silently with checking off;
+      dynamic sanitizer ({!Dt_util.Sync.set_racecheck}[ true]) must
+      report as {!Dt_util.Sync.Race} with both conflicting sites, and
+      that must pass silently with checking off;
     - [race.lock_cycle] — probe two lock-order edges in opposite
       directions inside [Dt_serve.Runtime.process]: a seeded deadlock
       candidate the sanitizer must raise as {!Dt_util.Sync.Lock_cycle}
@@ -79,21 +81,19 @@
 exception Injected of string
 
 (** [configure spec] replaces the armed set with the parse of [spec]
-    (same syntax as [DIFFTUNE_FAULTS]) and resets all hit counters.
-    Raises [Invalid_argument] on a malformed spec. *)
+    (the [site\@k] list above) and resets all hit counters.  Raises
+    [Invalid_argument] on a malformed spec. *)
 val configure : string -> unit
 
-(** Disarms every site and resets hit counters.  Also suppresses any
-    later implicit re-read of [DIFFTUNE_FAULTS]. *)
+(** Disarms every site and resets hit counters. *)
 val clear : unit -> unit
 
 (** [arm site ~at] additionally arms [site] at hit [at] (1-based). *)
 val arm : string -> at:int -> unit
 
 (** [fire site] counts one hit of [site] and reports whether a fault is
-    armed at exactly this hit.  The first call in a process loads
-    [DIFFTUNE_FAULTS] if no explicit {!configure}/{!clear}/{!arm} came
-    first. *)
+    armed at exactly this hit.  While nothing is armed it counts nothing
+    and returns [false]. *)
 val fire : string -> bool
 
 (** [fire_exn site] — [if fire site then raise (Injected site)]. *)

@@ -19,13 +19,19 @@ type t = {
   size : int;
 }
 
+(* The one process-global switch left: the CLI's default pool size,
+   the end-to-end benchmark's pin, and the domain axis of the engine
+   tests (which restore an unset variable as empty). *)
 let default_domains () =
-  match Sys.getenv_opt "DIFFTUNE_DOMAINS" with
+  match Option.map String.trim (Sys.getenv_opt "DIFFTUNE_DOMAINS") with
+  | None | Some "" -> Domain.recommended_domain_count ()
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
+      match int_of_string_opt s with
       | Some n when n > 0 -> n
-      | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "DIFFTUNE_DOMAINS=%S: expected a positive integer"
+               s))
 
 (* Pull tasks off the shared counter until exhausted, running each on
    [lane].  The first exception is kept with its backtrace; later tasks

@@ -9,7 +9,7 @@
     any reduction themselves in index order afterwards.
 
     Pool size comes from [?domains], else the [DIFFTUNE_DOMAINS]
-    environment variable, else [Domain.recommended_domain_count ()].
+    environment variable (see {!default_domains}).
     A pool of size 1 runs everything inline on the caller — useful both
     for determinism checks and on single-core machines. *)
 
@@ -54,6 +54,8 @@ val suppressed_errors : t -> int
 val shutdown : t -> unit
 
 (** The pool size {!create} would pick with no [?domains] argument:
-    [DIFFTUNE_DOMAINS] if set and positive, else
-    [Domain.recommended_domain_count ()]. *)
+    [Domain.recommended_domain_count ()] when [DIFFTUNE_DOMAINS] is
+    unset or empty, else its value, which must be a positive integer.
+    Raises [Invalid_argument] naming the variable and its value
+    otherwise (e.g. [four] or [0]). *)
 val default_domains : unit -> int

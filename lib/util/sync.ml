@@ -2,12 +2,13 @@
 
    Wraps Mutex/Condition/Atomic behind one API so every lock in the
    concurrent runtime (Pool, Simcache, Breaker, the serve runtime, the
-   lifecycle) goes through a single chokepoint.  With DIFFTUNE_RACECHECK
-   unset this adds one atomic load per operation; with it set (or after
-   [set_racecheck true]) every acquisition is recorded in a per-process
-   lock-acquisition-order graph (cycle => potential deadlock =>
-   {!Lock_cycle}), and guarded structures carry owner-domain stamps so
-   lock-discipline violations raise {!Race} naming both access sites.
+   lifecycle) goes through a single chokepoint.  Off by default, this
+   adds one atomic load per operation; after [set_racecheck true] (the
+   test suites' and [serve]'s [--racecheck]) every acquisition is
+   recorded in a per-process lock-acquisition-order graph (cycle =>
+   potential deadlock => {!Lock_cycle}), and guarded structures carry
+   owner-domain stamps so lock-discipline violations raise {!Race}
+   naming both access sites.
 
    The module must never deadlock against itself: its own bookkeeping is
    guarded by one plain [Mutex.t] ([gm]) that is only ever held for
@@ -31,12 +32,7 @@ let () =
 
 (* ---- enablement ---- *)
 
-let enabled =
-  Atomic.make
-    (match Sys.getenv_opt "DIFFTUNE_RACECHECK" with
-    | Some s -> (
-        match String.trim s with "" | "0" | "false" -> false | _ -> true)
-    | None -> false)
+let enabled = Atomic.make false
 
 let set_racecheck on = Atomic.set enabled on
 let racecheck () = Atomic.get enabled

@@ -3,9 +3,9 @@
 
     Wraps [Mutex]/[Condition]/[Atomic] behind one API so every lock in
     the concurrent runtime goes through a single chokepoint.  Checking
-    is off by default (one atomic load per operation); set
-    [DIFFTUNE_RACECHECK=1] in the environment (or call
-    {!set_racecheck}[ true]) to turn on:
+    is off by default (one atomic load per operation); call
+    {!set_racecheck}[ true] (a test suite's or [serve]'s [--racecheck]
+    flag does) to turn on:
 
     - a per-process {b lock-acquisition-order graph}: acquiring lock B
       while holding lock A records the edge A→B; a later acquisition
@@ -32,7 +32,7 @@ exception Race of { structure : string; first : string; second : string }
     the access that detected it. *)
 
 val set_racecheck : bool -> unit
-(** Override the [DIFFTUNE_RACECHECK] environment setting (tests). *)
+(** Turn dynamic checking on or off (default off). *)
 
 val racecheck : unit -> bool
 (** Is dynamic checking currently enabled? *)

@@ -1,4 +1,4 @@
-(* Fleet smoke driver for `make fleet-smoke` / `make verify`.
+(* Fleet smoke driver for `make fleet-smoke` and `dune runtest`.
 
    Spawns the real `difftune_cli fleet` supervisor — N serve daemons
    plus the consistent-hash router, wired from a JSON spec written to a
@@ -9,14 +9,19 @@
    whose late replies must be discarded.  In every scenario each
    request id is answered exactly once with a success or a labeled
    fallback — never a drop, never a duplicate — and the fleet exits 0
-   with an aggregated cluster report. *)
+   with an aggregated cluster report.  With [--racecheck] every shard
+   daemon runs under [serve --racecheck], and the clean scenario's
+   merged stats must show all of them armed and quiet. *)
+
+let racecheck = Array.mem "--racecheck" Sys.argv
 
 let cli =
-  if Array.length Sys.argv < 2 then begin
-    print_endline "usage: fleet_smoke <path-to-difftune_cli>";
-    exit 2
-  end
-  else Sys.argv.(1)
+  let args = List.tl (Array.to_list Sys.argv) in
+  match List.filter (( <> ) "--racecheck") args with
+  | [ cli ] -> cli
+  | _ ->
+      print_endline "usage: fleet_smoke <path-to-difftune_cli> [--racecheck]";
+      exit 2
 
 let failures = ref 0
 
@@ -46,17 +51,6 @@ let block i =
   Printf.sprintf "addq %s, %s"
     regs.(i mod Array.length regs)
     regs.((i / Array.length regs) mod Array.length regs)
-
-(* The supervisor's own environment must never leak fault arming into
-   the fleet: shard faults come only from the spec. *)
-let fleet_env () =
-  let keep e =
-    not
-      (String.length e >= 15
-      && (String.sub e 0 15 = "DIFFTUNE_FAULTS"
-         || String.sub e 0 15 = "DIFFTUNE_DOMAIN"))
-  in
-  Array.of_list (List.filter keep (Array.to_list (Unix.environment ())))
 
 let connect_with_retry path =
   let deadline = Unix.gettimeofday () +. 15.0 in
@@ -177,9 +171,8 @@ let fleet_scenario name ~spec drive =
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let pid =
-    Unix.create_process_env cli
-      [| cli; "fleet"; spec_path |]
-      (fleet_env ()) devnull out_w Unix.stderr
+    Unix.create_process cli [| cli; "fleet"; spec_path |] devnull out_w
+      Unix.stderr
   in
   Unix.close devnull;
   Unix.close out_w;
@@ -232,11 +225,11 @@ let spec_json ?(faults = []) ?(reply_budget = 0.5) ?(eject_after = 3) () ~dir =
   "breaker": { "threshold": 3, "cooldown_s": 0.5 },
   "health": { "eject_after": %d, "rejoin_after": 2,
               "cooldown_s": 0.5, "cooldown_cap_s": 4.0 },
-  "serve": { "queue": 256, "batch": 8 },
+  "serve": { "queue": 256, "batch": 8, "racecheck": %b },
   "restart": { "max": 5, "backoff_s": 0.1, "cap_s": 0.5, "grace_s": 2.0 },
   "shard_faults": { %s }
 }|}
-    dir reply_budget reply_budget eject_after fault_entries
+    dir reply_budget reply_budget eject_after racecheck fault_entries
 
 let storm fd ic name n =
   let ids = List.init n (fun i -> Printf.sprintf "r%d" i) in
@@ -276,7 +269,20 @@ let scenario_clean () =
         | ls -> failf "%s: bad pong %S" name (String.concat "|" ls));
         send fd "s stats";
         (match recv_lines name ic 1 with
-        | [ l ] when contains ~affix:"shards_reporting=3" l -> ()
+        | [ l ] when contains ~affix:"shards_reporting=3" l ->
+            (* The router sums shard counters under fleet.: every shard
+               armed (or none), no race, no lock-order cycle. *)
+            let pairs = String.split_on_char ' ' l in
+            List.iter
+              (fun (key, want) ->
+                let kv = Printf.sprintf "fleet.racecheck.%s=%d" key want in
+                if not (List.mem kv pairs) then
+                  failf "%s: stats lack %s: %S" name kv l)
+              [
+                ("enabled", if racecheck then 3 else 0);
+                ("races", 0);
+                ("lock_cycles", 0);
+              ]
         | ls -> failf "%s: bad stats %S" name (String.concat "|" ls));
         send fd "f flush";
         (match recv_lines name ic 1 with
@@ -385,4 +391,5 @@ let () =
     Printf.printf "fleet_smoke: %d failure(s)\n%!" !failures;
     exit 1
   end;
-  print_endline "fleet_smoke: OK (5 scenarios, zero drops)"
+  Printf.printf "fleet_smoke: OK (5 scenarios, zero drops%s)\n"
+    (if racecheck then ", racecheck armed in every shard" else "")

@@ -1,4 +1,4 @@
-(* Serving smoke driver for `make serve-smoke` / `make verify`.
+(* Serving smoke driver for `make serve-smoke` and `dune runtest`.
 
    Spawns the real `difftune_cli serve` daemon (stdio and Unix-socket
    transports) under armed fault injections — worker crashes, a
@@ -26,18 +26,18 @@ let failf fmt =
 
 let asm = "addq %rax, %rbx"
 
-let env ~faults ~domains =
-  let keep e =
-    not
-      (String.length e >= 15
-      && (String.sub e 0 15 = "DIFFTUNE_FAULTS"
-         || String.sub e 0 15 = "DIFFTUNE_DOMAIN"))
+(* Spawn `serve` with its faults and serving-pool size as flags.  The
+   startup fit and every lifecycle retrain size their pool from
+   DIFFTUNE_DOMAINS, which the daemon inherits pinned to the same count,
+   so a scenario's retrains run at its domain count on any machine. *)
+let spawn_serve ~faults ~domains args stdin stdout stderr =
+  let faults = if faults = "" then [] else [ "--faults"; faults ] in
+  let argv =
+    Array.of_list
+      ([ cli; "serve"; "--domains"; string_of_int domains ] @ faults @ args)
   in
-  Array.append
-    (Array.of_list (List.filter keep (Array.to_list (Unix.environment ()))))
-    [|
-      "DIFFTUNE_FAULTS=" ^ faults; "DIFFTUNE_DOMAINS=" ^ string_of_int domains;
-    |]
+  Testkit.with_domains domains (fun () ->
+      Unix.create_process cli argv stdin stdout stderr)
 
 let read_all_lines ic =
   let rec go acc =
@@ -60,12 +60,7 @@ let stdio_scenario name ~faults ~domains ~args ~requests checks =
   Printf.printf "serve_smoke: scenario %s (faults=%S)\n%!" name faults;
   let in_r, in_w = Unix.pipe ~cloexec:false () in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let argv = Array.of_list ((cli :: "serve" :: args) @ []) in
-  let pid =
-    Unix.create_process_env cli argv
-      (env ~faults ~domains)
-      in_r out_w Unix.stderr
-  in
+  let pid = spawn_serve ~faults ~domains args in_r out_w Unix.stderr in
   Unix.close in_r;
   Unix.close out_w;
   let oc = Unix.out_channel_of_descr in_w in
@@ -303,10 +298,8 @@ let socket_daemon name args =
   in
   if Sys.file_exists path then Sys.remove path;
   let pid =
-    Unix.create_process_env cli
-      (Array.of_list ([ cli; "serve"; "--socket"; path ] @ args))
-      (env ~faults:"" ~domains:1)
-      Unix.stdin Unix.stdout Unix.stderr
+    spawn_serve ~faults:"" ~domains:1 ("--socket" :: path :: args) Unix.stdin
+      Unix.stdout Unix.stderr
   in
   (pid, path)
 
@@ -502,6 +495,23 @@ let scenario_lifecycle_corrupt_model () =
      Sys.rmdir model_dir
    with Sys_error _ -> ())
 
+(* ---- a malformed --faults spec is a validation error (exit 5) ---- *)
+
+let scenario_bad_faults () =
+  let name = "bad-faults" in
+  Printf.printf "serve_smoke: scenario %s\n%!" name;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    spawn_serve ~faults:"serve.worker_crash@0" ~domains:1 [] devnull devnull
+      devnull
+  in
+  Unix.close devnull;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 5 -> ()
+  | _, Unix.WEXITED c -> failf "%s: daemon exited %d, expected 5" name c
+  | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+      failf "%s: daemon stopped by signal %d" name s
+
 let () =
   (* hard watchdog: a hung daemon must fail the smoke, not wedge CI *)
   ignore (Unix.alarm 300);
@@ -516,8 +526,9 @@ let () =
   scenario_lifecycle_swap ();
   scenario_lifecycle_retrain_crash ();
   scenario_lifecycle_corrupt_model ();
+  scenario_bad_faults ();
   if !failures > 0 then begin
     Printf.printf "serve_smoke: %d failure(s)\n%!" !failures;
     exit 1
   end;
-  print_endline "serve_smoke: OK (11 scenarios, zero drops)"
+  print_endline "serve_smoke: OK (12 scenarios, zero drops)"

@@ -327,6 +327,26 @@ let test_lint_tape_op_loop () =
   check_findings "tape-op-loop out of scope" findings [];
   Alcotest.(check int) "not merely suppressed" 0 suppressed
 
+let test_lint_env_read () =
+  let expected = List.map (fun l -> ("env-read", l)) [ 2; 3; 4; 5; 6 ] in
+  let findings, _ = lint_fixture "env_read.ml" in
+  check_findings "env-read in lib/" findings expected;
+  let findings, _ = lint_fixture ~path:"bin/difftune_cli.ml" "env_read.ml" in
+  check_findings "env-read in bin/" findings expected;
+  (* The pool size's default is the one whitelisted read, and the
+     suppression is counted. *)
+  let findings, suppressed =
+    lint_fixture ~path:"lib/util/pool.ml" "env_read.ml"
+  in
+  check_findings "Pool.default_domains whitelisted" findings [];
+  Alcotest.(check int) "suppressions counted" 5 suppressed;
+  (* Tests and benches may set the environment for what they spawn. *)
+  let findings, suppressed =
+    lint_fixture ~path:"test/test_difftune.ml" "env_read.ml"
+  in
+  check_findings "env-read out of scope" findings [];
+  Alcotest.(check int) "not merely suppressed" 0 suppressed
+
 let test_lint_clean () =
   let findings, suppressed = lint_fixture "clean.ml" in
   check_findings "clean fixture" findings [];
@@ -378,6 +398,7 @@ let () =
             test_lint_gemv_loop;
           Alcotest.test_case "tape-op-loop golden" `Quick
             test_lint_tape_op_loop;
+          Alcotest.test_case "env-read golden" `Quick test_lint_env_read;
           Alcotest.test_case "clean fixture" `Quick test_lint_clean;
           Alcotest.test_case "parse error" `Quick test_lint_parse_error;
         ] );

@@ -863,15 +863,6 @@ let test_flow_audit_covers_batch () =
    reduced in shard order, so the batched training path must produce
    bit-identical losses and weights whatever DIFFTUNE_DOMAINS says. *)
 
-let with_domains d f =
-  let prev = Sys.getenv_opt "DIFFTUNE_DOMAINS" in
-  Unix.putenv "DIFFTUNE_DOMAINS" (string_of_int d);
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "DIFFTUNE_DOMAINS"
-        (match prev with Some v -> v | None -> ""))
-    f
-
 let test_train_domain_determinism () =
   let module Spec = Dt_difftune.Spec in
   let module Engine = Dt_difftune.Engine in
@@ -890,7 +881,7 @@ let test_train_domain_determinism () =
       surrogate_passes = 0.5 }
   in
   let run domains =
-    with_domains domains (fun () ->
+    Testkit.with_domains domains (fun () ->
         let data = Engine.collect cfg spec blocks in
         let model = Engine.make_model cfg spec (Rng.create 5) in
         let loss = Engine.train_surrogate cfg spec model data blocks in

@@ -503,8 +503,11 @@ let test_spec_defaults_and_errors () =
   check Alcotest.bool "bad serve value" true
     (bad {|{"shards":1,"socket_dir":"/tmp/x","serve":{"queue":[1]}}|})
 
+(* [--racecheck] (the suite's second runtest rule) arms the dynamic
+   race checker for every case, around the router's per-shard breaker
+   locks. *)
 let () =
-  Alcotest.run "cluster"
+  Testkit.run "cluster"
     [
       ( "ring",
         [

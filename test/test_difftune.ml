@@ -295,15 +295,6 @@ let test_learn_with_validation_gating () =
 (* The parallel phases must be bit-identical regardless of how many
    domains execute them: collect uses per-sample RNG streams and the
    training loops use a fixed shard count with an ordered reduction. *)
-let with_domains d f =
-  let prev = Sys.getenv_opt "DIFFTUNE_DOMAINS" in
-  Unix.putenv "DIFFTUNE_DOMAINS" (string_of_int d);
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "DIFFTUNE_DOMAINS"
-        (match prev with Some v -> v | None -> ""))
-    f
-
 let test_domain_determinism () =
   let blocks = Array.map fst tiny_train in
   let wl_spec = Spec.mca_write_latency Uarch.Haswell in
@@ -311,7 +302,7 @@ let test_domain_determinism () =
     { tiny_cfg with Engine.sim_multiplier = 2; surrogate_passes = 0.5 }
   in
   let run domains =
-    with_domains domains (fun () ->
+    Testkit.with_domains domains (fun () ->
         let data = Engine.collect cfg wl_spec blocks in
         let model = Engine.make_model cfg wl_spec (Rng.create 11) in
         let loss = Engine.train_surrogate cfg wl_spec model data blocks in
@@ -353,7 +344,7 @@ let test_table_descent_domains () =
     }
   in
   let run ?(cfg = cfg) domains =
-    with_domains domains (fun () ->
+    Testkit.with_domains domains (fun () ->
         let data = Engine.collect cfg wl_spec blocks in
         let model = Engine.make_model cfg wl_spec (Rng.create 5) in
         ignore (Engine.train_surrogate cfg wl_spec model data blocks);
@@ -412,11 +403,13 @@ let test_ithemal_domains () =
       Alcotest.(check string)
         (Printf.sprintf "domains=%d digest" d)
         ithemal_digest
-        (weights_digest (with_domains d tiny_ithemal)))
+        (weights_digest (Testkit.with_domains d tiny_ithemal)))
     [ 1; 2; 4 ]
 
+(* [--racecheck] (the suite's second runtest rule) arms the dynamic
+   race checker for every case. *)
 let () =
-  Alcotest.run "difftune"
+  Testkit.run "difftune"
     [
       ( "spec",
         [

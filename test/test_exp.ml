@@ -14,15 +14,6 @@ let test_scales_sane () =
       Alcotest.(check bool) "parity positive" true (s.opentuner_parity > 0))
     [ Scale.smoke; Scale.quick; Scale.full ]
 
-let test_from_env () =
-  Unix.putenv "DIFFTUNE_SCALE" "smoke";
-  Alcotest.(check string) "smoke" "smoke" (Scale.from_env ()).name;
-  Unix.putenv "DIFFTUNE_SCALE" "full";
-  Alcotest.(check string) "full" "full" (Scale.from_env ()).name;
-  Unix.putenv "DIFFTUNE_SCALE" "bogus";
-  Alcotest.(check string) "fallback" "quick" (Scale.from_env ()).name;
-  Unix.putenv "DIFFTUNE_SCALE" "quick"
-
 let runner = Runner.create Scale.smoke
 
 let test_dataset_memoized () =
@@ -77,7 +68,6 @@ let () =
       ( "scale",
         [
           Alcotest.test_case "sane" `Quick test_scales_sane;
-          Alcotest.test_case "from_env" `Quick test_from_env;
         ] );
       ( "runner",
         [

@@ -3,8 +3,8 @@
    guard races under Domain.spawn, owner confinement, unlock-on-
    exception) and the two seeded concurrency fault sites
    (race.unlocked_write through Simcache, race.lock_cycle through the
-   serve runtime), each proven caught with DIFFTUNE_RACECHECK=1 and
-   silent with it off.  Lint golden tests for the five lock-discipline
+   serve runtime), each proven caught with racecheck on and silent
+   with it off.  Lint golden tests for the five lock-discipline
    rules live at the bottom, on fixtures under test/fixtures/. *)
 
 module Sync = Dt_util.Sync
@@ -19,18 +19,14 @@ module Lint = Dt_analysis.Lint
 
 let check = Alcotest.check
 
-(* Every scenario runs against a clean graph and restores the env-driven
-   default afterwards, so tests cannot see each other's edges. *)
+(* Every scenario runs against a clean graph and turns checking back off
+   afterwards, so tests cannot see each other's edges. *)
 let with_racecheck on f =
   Sync.reset_graph ();
   Sync.set_racecheck on;
   Fun.protect
     ~finally:(fun () ->
-      Sync.set_racecheck
-        (match Sys.getenv_opt "DIFFTUNE_RACECHECK" with
-        | Some s -> (
-            match String.trim s with "" | "0" | "false" -> false | _ -> true)
-        | None -> false);
+      Sync.set_racecheck false;
       Sync.reset_graph ();
       Faultsim.clear ())
     f

@@ -15,15 +15,6 @@ module Fault = Dt_difftune.Fault
 module Model = Dt_surrogate.Model
 module Uarch = Dt_refcpu.Uarch
 
-let with_domains d f =
-  let prev = Sys.getenv_opt "DIFFTUNE_DOMAINS" in
-  Unix.putenv "DIFFTUNE_DOMAINS" (string_of_int d);
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "DIFFTUNE_DOMAINS"
-        (match prev with Some v -> v | None -> ""))
-    f
-
 let with_faults f =
   Faultsim.clear ();
   Fun.protect ~finally:Faultsim.clear f
@@ -267,7 +258,8 @@ let dataset_eq xs ys =
 let test_guided_domain_determinism () =
   let blocks = skewed_corpus ~easy:18 ~hard:6 in
   let collect domains =
-    with_domains domains (fun () -> Engine.collect toy_cfg toy_spec blocks)
+    Testkit.with_domains domains (fun () ->
+        Engine.collect toy_cfg toy_spec blocks)
   in
   let d1 = collect 1 in
   let d2 = collect 2 in
@@ -421,8 +413,10 @@ let test_retrain_deterministic () =
         (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float pb.(i))))
     pa
 
+(* [--racecheck] (the suite's second runtest rule) arms the dynamic
+   race checker for every case. *)
 let () =
-  Alcotest.run "sampler"
+  Testkit.run "sampler"
     [
       ( "strata",
         [

@@ -1,4 +1,5 @@
-(* Tests for Dt_util: PRNG, statistics, text tables. *)
+(* Tests for Dt_util: PRNG, statistics, text tables, JSON, and the pool
+   size's one environment switch. *)
 
 module Rng = Dt_util.Rng
 module Stats = Dt_util.Stats
@@ -276,6 +277,37 @@ let prop_int_range =
       let v = Rng.int_range rng lo (lo + span) in
       v >= lo && v <= lo + span)
 
+(* ---- Pool.default_domains ---- *)
+
+let test_default_domains () =
+  let recommended = Domain.recommended_domain_count () in
+  let read v = Testkit.with_domains_env v Dt_util.Pool.default_domains in
+  check Alcotest.int "empty is the recommended count" recommended (read "");
+  check Alcotest.int "blank is the recommended count" recommended (read " ");
+  check Alcotest.int "positive used as is" 3 (read "3");
+  check Alcotest.int "surrounding blanks ignored" 2 (read " 2 ");
+  let rejects what f =
+    match f () with
+    | n -> Alcotest.failf "%s: got %d, expected Invalid_argument" what n
+    | exception Invalid_argument msg ->
+        if
+          not
+            (contains ~affix:"DIFFTUNE_DOMAINS" msg && contains ~affix:what msg)
+        then
+          Alcotest.failf "message %S does not name DIFFTUNE_DOMAINS=%s" msg
+            what
+  in
+  List.iter
+    (fun v -> rejects (Printf.sprintf "%S" v) (fun () -> read v))
+    [ "four"; "0"; "-2"; "2.5" ];
+  (* Pool.create with no ?domains rejects it too, rather than running at
+     the recommended count. *)
+  rejects "\"0\"" (fun () ->
+      Testkit.with_domains_env "0" (fun () ->
+          let p = Dt_util.Pool.create () in
+          Dt_util.Pool.shutdown p;
+          Dt_util.Pool.size p))
+
 let () =
   Alcotest.run "util"
     [
@@ -320,6 +352,8 @@ let () =
           Alcotest.test_case "numbers" `Quick test_json_numbers;
           Alcotest.test_case "errors" `Quick test_json_errors;
         ] );
+      ( "pool",
+        [ Alcotest.test_case "default domains" `Quick test_default_domains ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_percentile_monotone; prop_shuffle_preserves; prop_int_range ]
